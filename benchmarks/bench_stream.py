@@ -3,11 +3,14 @@
 The scenario a production deployment actually faces: a friendster-scale
 stand-in graph under continuous low-rate churn (≤1 % of edges added/removed
 per batch, with slow community drift), where the embedding must stay
-current at every version.  Two strategies are timed per mutation batch:
+current at every version.  Three timings are recorded per mutation batch:
 
-* **incremental-update** — ``DynamicGraph.commit`` + ``IncrementalEmbedding
-  .update()``: one O(Δ) scatter patch of the persisted raw sums plus
-  touched-row renormalisation;
+* **commit** — staging the batch and ``DynamicGraph.commit()``: instance
+  matching of the removals and the copy-on-write build of the next
+  version's edge arrays;
+* **incremental-update** — ``IncrementalEmbedding.update()`` alone (the
+  commit is timed separately above): one O(Δ) scatter patch of the
+  persisted raw sums plus touched-row renormalisation;
 * **refit** — a cold ``GraphEncoderEmbedding.fit`` on the mutated graph (a
   fresh facade: validation, plan compilation, full O(E) edge pass — what
   you pay without the dynamic-graph subsystem).
@@ -15,9 +18,10 @@ current at every version.  Two strategies are timed per mutation batch:
 Exactness is asserted as it goes: the incremental embedding must match the
 re-fit to 1e-10 at every checked version (``--check-every 1``, the
 default, checks all of them).  The emitted ``BENCH_stream.json`` records
-both timings and their ratio; the CI gate
-(``check_regression.py --speedup incremental-update:refit``) fails if the
-speedup drops below 5×.
+all three timings and the update-vs-refit ratio; the CI gates
+(``check_regression.py --speedup incremental-update:refit`` and
+``--speedup commit:incremental-update``) fail if the update stops beating
+the re-fit or the commit falls too far behind the update.
 
 Run directly::
 
@@ -220,7 +224,15 @@ def main(argv=None) -> int:
                 "min_speedup": 3,
                 "ci": "check_regression.py --speedup incremental-update:refit "
                 "--min-speedup 3 (full-scale baseline shows >5x)",
-            }
+            },
+            {
+                "kind": "speedup",
+                "fast": "commit",
+                "slow": "incremental-update",
+                "min_speedup": 0.25,
+                "ci": "check_regression.py --speedup commit:incremental-update "
+                "--min-speedup 0.25 (commit <= 4x update at smoke scale)",
+            },
         ],
         extra={
             "n_batches": args.batches,
@@ -231,6 +243,7 @@ def main(argv=None) -> int:
             "n_refreshes": inc.n_refreshes,
             "speedup_mean": speedup_mean,
             "speedup_best": speedup_best,
+            "commit_over_update_best": commit.best / update.best,
         },
     )
     return 0

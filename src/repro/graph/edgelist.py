@@ -85,6 +85,30 @@ class EdgeList:
             raise ValueError("vertex ids must be non-negative")
         self._validated = True
 
+    @classmethod
+    def from_validated(
+        cls,
+        src: np.ndarray,
+        dst: np.ndarray,
+        weights: Optional[np.ndarray],
+        n_vertices: int,
+    ) -> "EdgeList":
+        """Wrap arrays that already satisfy every invariant, unchecked.
+
+        For callers assembling a new edge list from parts that were each
+        validated before (contiguous ``int64`` endpoints in
+        ``[0, n_vertices)``, matching ``float64`` weights), where the four
+        O(s) range reductions of the normal constructor would only re-prove
+        what is known.
+        """
+        edges = cls.__new__(cls)
+        edges.src = src
+        edges.dst = dst
+        edges.weights = weights
+        edges.n_vertices = int(n_vertices)
+        edges._validated = True
+        return edges
+
     # ------------------------------------------------------------------ #
     # Basic protocol
     # ------------------------------------------------------------------ #
@@ -128,6 +152,16 @@ class EdgeList:
         if self.weights is not None:
             return self.weights
         return np.ones(self.n_edges, dtype=np.float64)
+
+    def weights_at(self, positions: np.ndarray) -> np.ndarray:
+        """The weights of the edges at ``positions`` (unit weights included).
+
+        Costs O(len(positions)) on unweighted graphs too, where
+        :meth:`effective_weights` would materialise all ``s`` unit weights.
+        """
+        if self.weights is not None:
+            return self.weights[positions]
+        return np.ones(len(positions), dtype=np.float64)
 
     def as_array(self) -> np.ndarray:
         """Return the paper's ``E ∈ R^{s×3}`` matrix ``[src, dst, weight]``."""

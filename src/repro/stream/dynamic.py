@@ -44,6 +44,7 @@ from ..graph.edgelist import EdgeList
 from ..graph.facade import Graph, GraphLike
 from ..graph.io import ChunkedEdgeSource
 from ..obs import metrics as obs_metrics
+from ..obs import trace as obs_trace
 from .mutations import (
     MutationDelta,
     MutationLog,
@@ -53,6 +54,37 @@ from .mutations import (
 )
 
 __all__ = ["DynamicGraph", "Snapshot"]
+
+
+#: Edges per masked-gather block in :func:`_compact_append`: each block's
+#: temporary stays cache-sized instead of E-sized.
+_COMPACT_BLOCK = 1 << 15
+
+
+def _compact_append(
+    column: Optional[np.ndarray],
+    keep: Optional[np.ndarray],
+    n_keep: int,
+    tail: np.ndarray,
+) -> np.ndarray:
+    """``concatenate((column[keep], tail))`` without an E-sized temporary.
+
+    ``keep=None`` keeps every entry; ``column=None`` reads as unit weights
+    (an unweighted graph gaining weights).
+    """
+    out = np.empty(n_keep + tail.size, dtype=tail.dtype)
+    if column is None:
+        out[:n_keep] = 1.0
+    elif keep is None:
+        out[:n_keep] = column
+    else:
+        at = 0
+        for lo in range(0, column.size, _COMPACT_BLOCK):
+            kept = column[lo : lo + _COMPACT_BLOCK][keep[lo : lo + _COMPACT_BLOCK]]
+            out[at : at + kept.size] = kept
+            at += kept.size
+    out[n_keep:] = tail
+    return out
 
 
 @dataclass(frozen=True)
@@ -282,112 +314,120 @@ class DynamicGraph:
         edges = old_graph.edges
         n_before = int(edges.n_vertices)
         n_after = n_before + self._staged_vertices
+        with obs_trace("dynamic.commit", n_edges=edges.n_edges):
+            with obs_trace("dynamic.match"):
+                # --- removals: exact instances of the current edges ------ #
+                if self._staged_remove:
+                    rem_src = np.concatenate([s for s, _ in self._staged_remove])
+                    rem_dst = np.concatenate([d for _, d in self._staged_remove])
+                    removed_pos = match_edge_instances(
+                        edges.src, edges.dst, rem_src, rem_dst, n_before
+                    )
+                else:
+                    rem_src = rem_dst = removed_pos = np.empty(0, dtype=np.int64)
+                removed_w = edges.weights_at(removed_pos)
 
-        # --- removals: match exact instances against the current edges --- #
-        if self._staged_remove:
-            rem_src = np.concatenate([s for s, _ in self._staged_remove])
-            rem_dst = np.concatenate([d for _, d in self._staged_remove])
-            removed_pos = match_edge_instances(
-                edges.src, edges.dst, rem_src, rem_dst, n_before
-            )
-        else:
-            rem_src = rem_dst = removed_pos = np.empty(0, dtype=np.int64)
-        removed_w = edges.effective_weights()[removed_pos]
+                # --- weight updates: the instances removals left --------- #
+                if self._staged_update:
+                    upd_src = np.concatenate([s for s, _, _ in self._staged_update])
+                    upd_dst = np.concatenate([d for _, d, _ in self._staged_update])
+                    upd_new_w = np.concatenate([w for _, _, w in self._staged_update])
+                    upd_pos = match_edge_instances(
+                        edges.src, edges.dst, upd_src, upd_dst, n_before,
+                        exclude=removed_pos,
+                    )
+                    upd_old_w = edges.weights_at(upd_pos)
+                else:
+                    upd_src = upd_dst = upd_pos = np.empty(0, dtype=np.int64)
+                    upd_new_w = upd_old_w = np.empty(0, dtype=np.float64)
 
-        keep = np.ones(edges.n_edges, dtype=bool)
-        keep[removed_pos] = False
+            with obs_trace("dynamic.build"):
+                add_src, add_dst, add_w, add_weighted = self._staged_additions(n_after)
+                # --- the next version's arrays (copy-on-write) ----------- #
+                weighted = edges.is_weighted or add_weighted or upd_pos.size > 0
+                keep = None
+                if removed_pos.size:
+                    keep = np.ones(edges.n_edges, dtype=bool)
+                    keep[removed_pos] = False
+                n_keep = edges.n_edges - removed_pos.size
+                new_src = _compact_append(edges.src, keep, n_keep, add_src)
+                new_dst = _compact_append(edges.dst, keep, n_keep, add_dst)
+                new_w = None
+                if weighted:
+                    new_w = _compact_append(edges.weights, keep, n_keep, add_w)
+                    if upd_pos.size:
+                        # Survivors shift down by the removals before them.
+                        shift = np.searchsorted(np.sort(removed_pos), upd_pos)
+                        new_w[upd_pos - shift] = upd_new_w
 
-        # --- weight updates: matched against the surviving instances ----- #
-        if self._staged_update:
-            upd_src = np.concatenate([s for s, _, _ in self._staged_update])
-            upd_dst = np.concatenate([d for _, d, _ in self._staged_update])
-            upd_new_w = np.concatenate([w for _, _, w in self._staged_update])
-            survivors = np.flatnonzero(keep)
-            upd_local = match_edge_instances(
-                edges.src[survivors], edges.dst[survivors], upd_src, upd_dst, n_before
-            )
-            upd_pos = survivors[upd_local]
-            upd_old_w = edges.effective_weights()[upd_pos]
-        else:
-            upd_src = upd_dst = upd_pos = np.empty(0, dtype=np.int64)
-            upd_new_w = upd_old_w = np.empty(0, dtype=np.float64)
-
-        # --- additions --------------------------------------------------- #
-        if self._staged_add:
-            add_src = np.concatenate([s for s, _, _ in self._staged_add])
-            add_dst = np.concatenate([d for _, d, _ in self._staged_add])
-            if any(w is not None for _, _, w in self._staged_add):
-                add_w = np.concatenate(
-                    [
-                        w if w is not None else np.ones(s.size, dtype=np.float64)
-                        for s, _, w in self._staged_add
-                    ]
+                delta = MutationDelta(
+                    version=self.version + 1,
+                    n_vertices_before=n_before,
+                    n_vertices_after=n_after,
+                    added_src=add_src,
+                    added_dst=add_dst,
+                    added_weights=add_w,
+                    removed_src=rem_src,
+                    removed_dst=rem_dst,
+                    removed_weights=removed_w,
+                    updated_src=upd_src,
+                    updated_dst=upd_dst,
+                    updated_old_weights=upd_old_w,
+                    updated_new_weights=upd_new_w,
                 )
-                add_weighted = True
-            else:
-                add_w = np.ones(add_src.size, dtype=np.float64)
-                add_weighted = False
-            if add_src.size and max(add_src.max(), add_dst.max()) >= n_after:
-                raise ValueError(
-                    f"added edges reference vertex "
-                    f"{int(max(add_src.max(), add_dst.max()))} outside the "
-                    f"committed vertex set [0, {n_after}); stage add_vertices "
-                    "first to grow the graph"
+                # Every part is already validated: the kept edges by the
+                # previous version, the additions at staging and above.
+                new_graph = Graph(
+                    EdgeList.from_validated(new_src, new_dst, new_w, n_after)
                 )
-        else:
-            add_src = add_dst = np.empty(0, dtype=np.int64)
-            add_w = np.empty(0, dtype=np.float64)
-            add_weighted = False
+                new_graph._fingerprint_mode = old_graph._fingerprint_mode
 
-        # --- build the next version's arrays (copy-on-write) ------------- #
-        weighted = edges.is_weighted or add_weighted or upd_pos.size > 0
-        if removed_pos.size or upd_pos.size:
-            old_w = edges.effective_weights()
-            if upd_pos.size:
-                old_w = old_w.copy()
-                old_w[upd_pos] = upd_new_w
-            new_src = np.concatenate((edges.src[keep], add_src))
-            new_dst = np.concatenate((edges.dst[keep], add_dst))
-            new_w = np.concatenate((old_w[keep], add_w)) if weighted else None
-        else:
-            new_src = np.concatenate((edges.src, add_src))
-            new_dst = np.concatenate((edges.dst, add_dst))
-            new_w = (
-                np.concatenate((edges.effective_weights(), add_w)) if weighted else None
-            )
+            if delta.append_only and not (add_weighted and not edges.is_weighted):
+                with obs_trace("dynamic.carry_plans"):
+                    self._carry_plans(old_graph, new_graph, add_src, add_dst, add_w)
 
-        delta = MutationDelta(
-            version=self.version + 1,
-            n_vertices_before=n_before,
-            n_vertices_after=n_after,
-            added_src=add_src,
-            added_dst=add_dst,
-            added_weights=add_w,
-            removed_src=rem_src,
-            removed_dst=rem_dst,
-            removed_weights=removed_w,
-            updated_src=upd_src,
-            updated_dst=upd_dst,
-            updated_old_weights=upd_old_w,
-            updated_new_weights=upd_new_w,
-        )
-
-        new_graph = Graph(EdgeList(new_src, new_dst, new_w, n_after))
-        new_graph._fingerprint_mode = old_graph._fingerprint_mode
-        if delta.append_only and not (add_weighted and not edges.is_weighted):
-            self._carry_plans(old_graph, new_graph, add_src, add_dst, add_w)
-
-        if self.store is not None:
-            if delta.append_only and self.store.weighted == weighted:
-                self.store.append(EdgeList(add_src, add_dst, add_w if weighted else None, n_after))
-            else:
-                self.store.rewrite(new_graph.edges)
+            if self.store is not None:
+                with obs_trace("dynamic.store"):
+                    if delta.append_only and self.store.weighted == weighted:
+                        self.store.append(
+                            EdgeList(add_src, add_dst, add_w if weighted else None, n_after)
+                        )
+                    else:
+                        self.store.rewrite(new_graph.edges)
 
         self._graph = new_graph
         self.version += 1
         self.log.append(delta)
         self.discard_staged()
         return delta
+
+    def _staged_additions(
+        self, n_after: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+        """The staged additions as ``(src, dst, weights, any_weighted)``."""
+        if not self._staged_add:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, np.empty(0, dtype=np.float64), False
+        add_src = np.concatenate([s for s, _, _ in self._staged_add])
+        add_dst = np.concatenate([d for _, d, _ in self._staged_add])
+        add_weighted = any(w is not None for _, _, w in self._staged_add)
+        if add_weighted:
+            add_w = np.concatenate(
+                [
+                    w if w is not None else np.ones(s.size, dtype=np.float64)
+                    for s, _, w in self._staged_add
+                ]
+            )
+        else:
+            add_w = np.ones(add_src.size, dtype=np.float64)
+        if max(add_src.max(), add_dst.max()) >= n_after:
+            raise ValueError(
+                f"added edges reference vertex "
+                f"{int(max(add_src.max(), add_dst.max()))} outside the "
+                f"committed vertex set [0, {n_after}); stage add_vertices "
+                "first to grow the graph"
+            )
+        return add_src, add_dst, add_w, add_weighted
 
     @staticmethod
     def _carry_plans(

@@ -23,7 +23,10 @@ replacement, symmetrised unions, ...), so one pair may occur many times.
 edge twice matches exactly one instance (the earliest by edge position), and
 requesting it twice matches both.  This is what makes the removal patch
 subtract exactly the requested multiplicity instead of every duplicate at
-once.
+once.  Matching touches the whole edge set only through two byte-table
+gathers (is the source requested? is the destination?); keys, sorts and
+binary searches run on the surviving candidates, so their cost follows
+the batch rather than the graph.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
+
+from ..obs import metrics as obs_metrics
 
 __all__ = [
     "MutationDelta",
@@ -58,6 +63,7 @@ def match_edge_instances(
     req_src: np.ndarray,
     req_dst: np.ndarray,
     n_vertices: int,
+    exclude: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Resolve requested ``(src, dst)`` occurrences to distinct edge positions.
 
@@ -67,6 +73,8 @@ def match_edge_instances(
     pair in the edge arrays (instances ordered by edge position), so each
     requested occurrence consumes exactly one distinct instance — a
     multigraph with a duplicated edge loses one copy per request, never both.
+    Positions listed in ``exclude`` are treated as absent (a batch's weight
+    updates match only the instances its removals left).
 
     Raises :class:`MissingEdgeError` when a requested pair does not exist or
     its requested multiplicity exceeds the stored multiplicity.
@@ -75,7 +83,7 @@ def match_edge_instances(
         raise ValueError("request src and dst must have the same length")
     if req_src.size == 0:
         return np.empty(0, dtype=np.int64)
-    if req_src.size and (
+    if (
         max(req_src.max(), req_dst.max()) >= n_vertices
         or min(req_src.min(), req_dst.min()) < 0
     ):
@@ -84,24 +92,33 @@ def match_edge_instances(
             f"{int(max(req_src.max(), req_dst.max()))}"
         )
     n = int(n_vertices)
-    ekey = src * n + dst
-    rkey = req_src * n + req_dst
-    # Restrict to candidate edges (keys that appear in the request) before
-    # sorting: one O(E log R) membership scan instead of an O(E log E)
-    # argsort of the whole edge array — the difference between a commit
-    # costing ~Δ and a commit costing a full re-sort per batch.
-    req_keys = np.unique(rkey)
-    idx = np.searchsorted(req_keys, ekey)
-    idx[idx == req_keys.size] = 0
-    candidates = np.flatnonzero(req_keys[idx] == ekey)
-    ckey = ekey[candidates]
+    # Prefilter through two n-byte vertex marks: an edge can only match if
+    # its source is a requested source and its destination a requested
+    # destination.  Those two byte-table gathers and one mask scan are the
+    # only work over all E edges; keys, sorts and searches run on the
+    # candidates alone (a superset of the matches, still in position order).
+    want_src = np.zeros(n, dtype=bool)
+    want_src[req_src] = True
+    want_dst = np.zeros(n, dtype=bool)
+    want_dst[req_dst] = True
+    hit = np.take(want_src, src)
+    hit &= np.take(want_dst, dst)
+    if exclude is not None:
+        hit[exclude] = False
+    candidates = np.flatnonzero(hit)
+    obs_metrics.count("dynamic.match_scanned", src.size)
+    obs_metrics.count("dynamic.match_candidates", candidates.size)
+    ckey = src[candidates] * n + dst[candidates]
     order = np.argsort(ckey, kind="stable")  # stable: instances stay position-ordered
     sorted_keys = ckey[order]
+    rkey = req_src * n + req_dst
     rorder = np.argsort(rkey, kind="stable")
     rsorted = rkey[rorder]
     # Occurrence rank of each request within its run of equal keys.
     run_start = np.searchsorted(rsorted, rsorted, side="left")
     occurrence = np.arange(rsorted.size, dtype=np.int64) - run_start
+    # Candidates whose key no request names (prefilter false positives)
+    # sort between the requested runs and are never addressed.
     lo = np.searchsorted(sorted_keys, rsorted, side="left")
     hi = np.searchsorted(sorted_keys, rsorted, side="right")
     available = hi - lo

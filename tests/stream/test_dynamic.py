@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from repro.core import gee_unsupervised
 from repro.core.api import GraphEncoderEmbedding
 from repro.graph import EdgeList, Graph, erdos_renyi
 from repro.stream import DynamicGraph, MissingEdgeError
+from repro.stream.mutations import match_edge_instances
 
 
 def _multigraph():
@@ -84,6 +88,28 @@ class TestStagingAndCommit:
         # first instance by edge position carries weight 10.0
         assert delta.removed_weights.tolist() == [10.0]
 
+    def test_compaction_spans_many_blocks(self):
+        """Removal + update + append on a graph far larger than one block."""
+        n = 400
+        n_edges = 100_000  # distinct pairs, so positions are unambiguous
+        pos = np.arange(n_edges)
+        rng = np.random.default_rng(3)
+        weights = rng.uniform(0.5, 2.0, n_edges)
+        dyn = DynamicGraph(EdgeList(pos % n, pos // n, weights, n))
+        removed = np.sort(rng.choice(n_edges, 700, replace=False))
+        updated = rng.choice(np.setdiff1d(pos, removed), 50, replace=False)
+        dyn.remove_edges(removed % n, removed // n)
+        dyn.update_weights(updated % n, updated // n, np.full(50, 9.0))
+        dyn.add_edges([1, 2], [3, 4], [5.0, 6.0])
+        dyn.commit()
+        expect_w = weights.copy()
+        expect_w[updated] = 9.0
+        survivors = np.delete(pos, removed)
+        edges = dyn.graph.edges
+        np.testing.assert_array_equal(edges.src, np.append(survivors % n, [1, 2]))
+        np.testing.assert_array_equal(edges.dst, np.append(survivors // n, [3, 4]))
+        np.testing.assert_array_equal(edges.weights, np.append(expect_w[survivors], [5.0, 6.0]))
+
 
 class TestMultigraphMultiplicity:
     """remove_edges must remove exactly the requested multiplicity."""
@@ -129,6 +155,182 @@ class TestMultigraphMultiplicity:
         edges = dyn.graph.edges
         pos = np.flatnonzero((edges.src == 1) & (edges.dst == 2))
         assert sorted(edges.weights[pos].tolist()) == [30.0, 99.0]
+
+
+class TestCommitAllocations:
+    def test_append_only_unweighted_commit_allocates_only_new_columns(self):
+        """An append-only commit on an unweighted graph needs exactly the two
+        new endpoint columns plus O(Δ) bookkeeping: no length-E keep mask,
+        and no materialised unit weights to gather zero removed weights from.
+        """
+        n_edges, n_added = 200_000, 64
+        rng = np.random.default_rng(11)
+        dyn = DynamicGraph(
+            EdgeList(rng.integers(0, 1000, n_edges), rng.integers(0, 1000, n_edges), None, 1000)
+        )
+        dyn.add_edges(rng.integers(0, 1000, n_added), rng.integers(0, 1000, n_added))
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            delta = dyn.commit()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert delta.append_only and not dyn.graph.edges.is_weighted
+        new_columns = 2 * 8 * (n_edges + n_added)
+        assert peak - before <= new_columns + 64 * n_added + 64 * 1024
+
+
+def _match_by_full_scan(src, dst, req_src, req_dst, n):
+    """The original matcher, kept as an oracle: binary-search every edge key."""
+    ekey = src * n + dst
+    rkey = req_src * n + req_dst
+    req_keys = np.unique(rkey)
+    idx = np.searchsorted(req_keys, ekey)
+    idx[idx == req_keys.size] = 0
+    candidates = np.flatnonzero(req_keys[idx] == ekey)
+    ckey = ekey[candidates]
+    order = np.argsort(ckey, kind="stable")
+    sorted_keys = ckey[order]
+    rorder = np.argsort(rkey, kind="stable")
+    rsorted = rkey[rorder]
+    occurrence = np.arange(rsorted.size) - np.searchsorted(rsorted, rsorted, side="left")
+    lo = np.searchsorted(sorted_keys, rsorted, side="left")
+    available = np.searchsorted(sorted_keys, rsorted, side="right") - lo
+    short = occurrence >= available
+    if np.any(short):
+        bad = int(np.flatnonzero(short)[0])
+        pair = (int(rsorted[bad] // n), int(rsorted[bad] % n))
+        raise MissingEdgeError(
+            f"edge {pair} requested with multiplicity "
+            f"{int(np.sum(rsorted == rsorted[bad]))} but the graph holds "
+            f"{int(available[bad])} instance(s); removals/updates must not "
+            "exceed the stored multiplicity"
+        )
+    out = np.empty(rkey.size, dtype=np.int64)
+    out[rorder] = candidates[order[lo + occurrence]]
+    return out
+
+
+def _match_brute_force(src, dst, req_src, req_dst, excluded=()):
+    """Each pair's sorted positions, consumed in request order."""
+    instances = defaultdict(list)
+    for pos, pair in enumerate(zip(src.tolist(), dst.tolist())):
+        if pos not in excluded:
+            instances[pair].append(pos)
+    used = defaultdict(int)
+    out = []
+    for pair in zip(req_src.tolist(), req_dst.tolist()):
+        if used[pair] >= len(instances[pair]):
+            raise MissingEdgeError(str(pair))
+        out.append(instances[pair][used[pair]])
+        used[pair] += 1
+    return np.array(out, dtype=np.int64)
+
+
+def _fuzz_case(rng):
+    """A small multigraph plus a request of one kind against it."""
+    n = int(rng.integers(1, 12))
+    s = int(rng.integers(1, 60))
+    # A few distinct pairs drawn with replacement: duplicates are common.
+    pool_src = rng.integers(0, n, size=max(1, s // 3))
+    pool_dst = rng.integers(0, n, size=pool_src.size)
+    loops = rng.random(pool_src.size) < 0.2
+    pool_dst[loops] = pool_src[loops]  # self-loops
+    pool_src[0], pool_dst[0] = 0, n - 1  # the id range's two ends
+    pick = rng.integers(0, pool_src.size, size=s)
+    src, dst = pool_src[pick], pool_dst[pick]
+    kind = ("valid", "repeated", "over", "false_positive", "random")[int(rng.integers(0, 5))]
+    present = set(zip(src.tolist(), dst.tolist()))
+    m = int(rng.integers(1, s + 1))
+    if kind == "valid":
+        chosen = rng.permutation(s)[:m]
+        req_src, req_dst = src[chosen], dst[chosen]
+    elif kind == "repeated":
+        # One stored pair requested exactly as often as it is stored.
+        pos = int(rng.integers(0, s))
+        mult = int(np.sum((src == src[pos]) & (dst == dst[pos])))
+        req_src = np.full(mult, src[pos])
+        req_dst = np.full(mult, dst[pos])
+    elif kind == "over":
+        pos = int(rng.integers(0, s))
+        mult = int(np.sum((src == src[pos]) & (dst == dst[pos])))
+        req_src = np.full(mult + 1, src[pos])
+        req_dst = np.full(mult + 1, dst[pos])
+    elif kind == "false_positive":
+        # A requested source and destination that each exist, never as a pair.
+        absent = [
+            (u, v) for u in set(src.tolist()) for v in set(dst.tolist()) if (u, v) not in present
+        ]
+        if not absent:
+            return None
+        u, v = absent[int(rng.integers(0, len(absent)))]
+        chosen = rng.permutation(s)[: m - 1]
+        req_src = np.append(src[chosen], u)
+        req_dst = np.append(dst[chosen], v)
+    else:
+        req_src = rng.integers(0, n, size=m)
+        req_dst = rng.integers(0, n, size=m)
+    order = rng.permutation(req_src.size)
+    return kind, n, src, dst, req_src[order], req_dst[order]
+
+
+def test_match_edge_instances_fuzz_against_oracles():
+    """~200 seeded cases: bit-identical positions, identical errors."""
+    rng = np.random.default_rng(20261017)
+    seen = defaultdict(int)
+    for case in range(220):
+        drawn = _fuzz_case(rng)
+        if drawn is None:
+            continue
+        kind, n, src, dst, req_src, req_dst = drawn
+        try:
+            expected = _match_by_full_scan(src, dst, req_src, req_dst, n)
+        except MissingEdgeError as exc:
+            with pytest.raises(MissingEdgeError) as got:
+                match_edge_instances(src, dst, req_src, req_dst, n)
+            assert str(got.value) == str(exc), f"case {case} ({kind})"
+            with pytest.raises(MissingEdgeError):
+                _match_brute_force(src, dst, req_src, req_dst)
+            seen[kind + ":raised"] += 1
+            continue
+        got = match_edge_instances(src, dst, req_src, req_dst, n)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, expected, err_msg=f"case {case} ({kind})")
+        np.testing.assert_array_equal(
+            got, _match_brute_force(src, dst, req_src, req_dst), err_msg=f"case {case}"
+        )
+        seen[kind] += 1
+    for kind in ("valid", "repeated", "random:raised", "over:raised", "false_positive:raised"):
+        assert seen[kind] > 0, f"fuzz never produced a {kind!r} case: {dict(seen)}"
+    assert seen["over"] == seen["false_positive"] == 0
+
+
+def test_match_edge_instances_exclude_fuzz():
+    """Matching with exclusions equals matching over the surviving edges."""
+    rng = np.random.default_rng(7)
+    for case in range(200):
+        drawn = _fuzz_case(rng)
+        if drawn is None:
+            continue
+        _, n, src, dst, req_src, req_dst = drawn
+        exclude = rng.permutation(src.size)[: int(rng.integers(0, src.size + 1))]
+        survivors = np.setdiff1d(np.arange(src.size), exclude)
+        try:
+            local = _match_by_full_scan(src[survivors], dst[survivors], req_src, req_dst, n)
+        except MissingEdgeError as exc:
+            with pytest.raises(MissingEdgeError) as got:
+                match_edge_instances(src, dst, req_src, req_dst, n, exclude=exclude)
+            assert str(got.value) == str(exc), f"case {case}"
+            continue
+        got = match_edge_instances(src, dst, req_src, req_dst, n, exclude=exclude)
+        np.testing.assert_array_equal(got, survivors[local], err_msg=f"case {case}")
+        np.testing.assert_array_equal(
+            got,
+            _match_brute_force(src, dst, req_src, req_dst, set(exclude.tolist())),
+            err_msg=f"case {case}",
+        )
 
 
 class TestSnapshotsAndLog:
