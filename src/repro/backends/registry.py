@@ -87,8 +87,8 @@ class BackendCapabilities:
         arrival-order kernels over the plan's unpermuted edge arrays.
     supports_sharding:
         Whether the backend executes over owner-range shards
-        (:class:`repro.shard.ShardedGraph`): per-shard raw class sums
-        combined by tree reduction, with an ``n_shards`` construction
+        (:class:`repro.shard.ShardedGraph`): each shard writes its own
+        rows of one output buffer, with an ``n_shards`` construction
         option selecting the partition width.
     description:
         One-line human-readable summary shown by discovery helpers.

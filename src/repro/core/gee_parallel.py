@@ -43,7 +43,7 @@ from __future__ import annotations
 import atexit
 import time
 import weakref
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,10 +60,16 @@ from ..parallel.pool import (
 from ..analysis.annotations import hot_path
 from ..obs import trace
 from ..parallel.shm import SharedArrayHandle, SharedArraySet, attach_many
-from .gee_vectorized import scatter_add
+from .gee_vectorized import accumulate_fused_rows_sorted, scatter_add
 from .projection import projection_from_scales, projection_scales
 from .result import EmbeddingResult
-from .validation import UNKNOWN_LABEL, validate_edges, validate_labels
+from .validation import (
+    UNKNOWN_LABEL,
+    class_counts,
+    inverse_class_counts,
+    validate_edges,
+    validate_labels,
+)
 
 __all__ = [
     "gee_parallel",
@@ -404,8 +410,6 @@ def _fused_pool_task(
     two tasks ever write the same row, and the O(nK) rescale multiply runs
     inside the row partition instead of serially in the parent.
     """
-    from .gee_vectorized import accumulate_fused_rows_sorted
-
     views = _attach_cached(handles)
     labels = views["labels"]
     owner_flat = views["f_owner_flat"]
@@ -839,6 +843,130 @@ def gee_parallel_chunked(
     )
 
 
+#: Dummy weights for unit-weight plans on the native path (the JIT kernels
+#: take no ``None``).
+_EMPTY_WEIGHTS = np.empty(0, dtype=np.float64)
+
+
+def run_fused_ranges(
+    plan,
+    y: np.ndarray,
+    ranges: Sequence[Tuple[int, int]],
+    out_flat: np.ndarray,
+    *,
+    n_workers: int,
+    backend: str,
+    kernel: str = "numpy",
+    rescale: bool = True,
+) -> Tuple[int, float]:
+    """Fill ``out_flat`` with the rows of every owner range of a sorted plan.
+
+    The one owner-range executor behind ``backend="parallel"`` on sorted
+    plans and :class:`~repro.shard.ShardedGraph`.  ``ranges`` must tile
+    ``[0, n)``; range ``i`` (labelled ``shard i``) is computed start to
+    finish by one task that writes only its own rows of the plan's sorted
+    incidence, so the output needs no zeroing and no reduction, and the
+    result is bitwise the same for every dispatch mode and worker count.
+    Each task rescales its rows by ``diag(1/n_c)``; ``rescale=False``
+    leaves the raw class sums.
+
+    Dispatch: ``kernel="numpy"`` with ``n_workers > 1`` (and ``fork``, and
+    at least one edge) runs one :func:`_fused_pool_task` per range on the
+    session pool and copies the shared result out; the native tier
+    (``"native"``/``"shadow"``) fans ranges out to ``n_workers`` threads,
+    its kernels releasing the GIL; anything else loops in process.  A
+    failure names the lowest failing range in every mode.
+
+    Returns ``(workers, staging_s)``: the worker count that ran and the
+    seconds spent staging shared memory (zero off the pool).
+    """
+    fused = plan.fused
+    k = plan.n_classes
+    fully = bool(y.size) and int(y.min()) != UNKNOWN_LABEL
+    inv = inverse_class_counts(class_counts(y, k)) if rescale else None
+    tasks = [(i, lo, hi) for i, (lo, hi) in enumerate(ranges) if hi > lo]
+    labels = [f"backend={backend} shard {i} rows [{lo}, {hi})" for i, lo, hi in tasks]
+    if kernel == "numpy" and n_workers > 1 and fork_available() and plan.n_edges:
+        t_share = time.perf_counter()
+        shared_fused = _shared_fused_for(fused)
+        pool = _get_pool(n_workers)
+        workspace = _workspace_for(plan.n_vertices, k)
+        workspace.labels[:] = y
+        workspace.inv[:] = 1.0 if inv is None else inv
+        handles = dict(shared_fused.handles)
+        handles.update(workspace.handles)
+        staging = time.perf_counter() - t_share
+        with trace("parallel.dispatch", backend=backend, n_tasks=len(tasks)):
+            pool.map(
+                _fused_pool_task,
+                [(handles, lo, hi, k, fused.rows_per_block, fully) for _, lo, hi in tasks],
+                labels=labels,
+            )
+        np.copyto(out_flat, workspace.Z.reshape(-1))
+        return n_workers, staging
+
+    y_idx = y.astype(fused.index_dtype, copy=False)
+
+    def accumulate(row_lo: int, row_hi: int) -> None:
+        # numpy block-assigns the rows; the native tier zeroes them and
+        # accumulates on range-local flat indices.  Either way a task
+        # touches only its own slice of ``out_flat`` (thread-safe for the
+        # shadow's dense ``bincount`` as well as for the JIT loop).
+        window = out_flat[row_lo * k : row_hi * k]
+        if kernel == "numpy":
+            accumulate_fused_rows_sorted(
+                out_flat,
+                fused.owner_flat,
+                fused.partner,
+                fused.weights,
+                y_idx,
+                k,
+                fused.rows_per_block,
+                row_lo,
+                row_hi,
+                fully_labelled=fully,
+            )
+        else:
+            from ..native.dispatch import get_kernel
+
+            lo = int(np.searchsorted(fused.owner_flat, row_lo * k))
+            hi = int(np.searchsorted(fused.owner_flat, row_hi * k))
+            weights = fused.weights
+            window.fill(0.0)
+            get_kernel("segment_accumulate", force_shadow=kernel == "shadow")(
+                window,
+                fused.owner_flat[lo:hi] - row_lo * k,
+                fused.partner[lo:hi],
+                _EMPTY_WEIGHTS if weights is None else weights[lo:hi],
+                weights is not None,
+                y,
+            )
+        if inv is not None:
+            rows = window.reshape(row_hi - row_lo, k)
+            rows *= inv[None, :]
+
+    def run(task: Tuple[int, int, int], label: str) -> None:
+        _, lo, hi = task
+        try:
+            with trace("shard.accumulate", label=label):
+                accumulate(lo, hi)
+        except Exception as exc:
+            raise RuntimeError(f"{label} failed: {exc}") from exc
+
+    threads = 1 if kernel == "numpy" else min(n_workers, len(tasks))
+    if threads <= 1:
+        for task, label in zip(tasks, labels):
+            run(task, label)
+        return 1, 0.0
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        futures = [ex.submit(run, task, label) for task, label in zip(tasks, labels)]
+        for future in futures:
+            future.result()
+    return threads, 0.0
+
+
 def _gee_parallel_fused(
     plan,
     labels: np.ndarray,
@@ -849,18 +977,14 @@ def _gee_parallel_fused(
 
     Same owner-computes guarantees as the classic path (every row
     single-writer, deterministic, no atomics), but the workers read the
-    plan's sorted incidence arrays instead of CSR/CSC adjacency: each
-    locates its degree-balanced row range with two binary searches and runs
-    the block-local segment-sum kernel into its slice of the shared output,
-    then rescales its own rows by ``diag(1/n_c)``.  Only the label vector
-    travels per call; the incidence arrays ship through shared memory once
-    per plan.
+    plan's sorted incidence arrays instead of CSR/CSC adjacency: the
+    degree-balanced row ranges run through :func:`run_fused_ranges`, each
+    worker rescaling its own rows by ``diag(1/n_c)``.  Only the label
+    vector travels per call; the incidence arrays ship through shared
+    memory once per plan.
     """
-    from .gee_vectorized import accumulate_fused, class_rescale
-
     y = plan.validate_labels(labels)
     k = plan.n_classes
-    n = plan.n_vertices
     timings: Dict[str, float] = {}
 
     t_pre = time.perf_counter()
@@ -877,50 +1001,22 @@ def _gee_parallel_fused(
         )
 
     t0 = time.perf_counter()
-    fully = bool(y.size) and int(y.min()) != UNKNOWN_LABEL
-    y_idx = y.astype(fused.index_dtype, copy=False)
+    ranges = plan.fused_row_ranges(requested)
+    Z = plan.output_matrix()
     t1 = time.perf_counter()
     timings["projection"] = t1 - t0
 
-    if requested == 1 or not fork_available() or plan.n_edges == 0:
-        t_edge = time.perf_counter()
-        Z = plan.output_matrix()
-        accumulate_fused(Z.reshape(-1), fused, y_idx, fully_labelled=fully)
-        class_rescale(Z, y, k)
-        workers = 1
-    else:
-        from .validation import class_counts, inverse_class_counts
-
-        ranges = plan.fused_row_ranges(requested)
-        t_share = time.perf_counter()
-        shared_fused = _shared_fused_for(fused)
-        pool = _get_pool(requested)
-        workspace = _workspace_for(n, k)
-        workspace.labels[:] = y
-        workspace.inv[:] = inverse_class_counts(class_counts(y, k))
-        handles = dict(shared_fused.handles)
-        handles.update(workspace.handles)
-        timings["preprocess"] += time.perf_counter() - t_share
-        t_edge = time.perf_counter()
-        with trace(
-            "parallel.dispatch", backend="parallel-fused", n_tasks=len(ranges)
-        ):
-            pool.map(
-                _fused_pool_task,
-                [
-                    (handles, row_lo, row_hi, k, fused.rows_per_block, fully)
-                    for row_lo, row_hi in ranges
-                ],
-                labels=[
-                    f"backend=parallel-fused rows[{row_lo}:{row_hi}]"
-                    for row_lo, row_hi in ranges
-                ],
-            )
-        Z = plan.output_matrix()
-        np.copyto(Z, workspace.Z)
-        workers = requested
+    workers, staging = run_fused_ranges(
+        plan,
+        y,
+        ranges,
+        Z.reshape(-1),
+        n_workers=requested,
+        backend="parallel-fused",
+    )
     t2 = time.perf_counter()
-    timings["edge_pass"] = t2 - t_edge
+    timings["preprocess"] += staging
+    timings["edge_pass"] = t2 - t1 - staging
     timings["total"] = t2 - t0
 
     return EmbeddingResult(

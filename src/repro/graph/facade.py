@@ -434,17 +434,15 @@ class Graph:
         return plan
 
     def shard(self, n_shards: int):
-        """The compiled :class:`~repro.shard.ShardedGraph` for ``n_shards``.
+        """The :class:`~repro.shard.ShardedGraph` view for ``n_shards``.
 
-        Like :meth:`plan`, the sharded view — the owner-sorted incidence
-        sliced into degree-balanced contiguous owner ranges, each with its
-        own per-shard embed plan and pinned worker affinity — is built on
-        first request and cached per shard count, so repeated
-        ``backend="sharded"`` embeds and shard-routed incremental patches
-        pay the sort-and-slice compilation once.  ``n_shards`` is clamped
-        to the vertex count; cached sharded views (and their worker pools
-        and shared-memory segments) are released by
-        :meth:`invalidate_cache`.
+        The sharded view — degree-balanced contiguous owner-row cuts over
+        this graph's sorted plan (``plan(K, layout="sorted")``), with no
+        copy of the incidences — is built on first request and cached per
+        shard count, so repeated ``backend="sharded"`` embeds and
+        shard-routed incremental patches compute the cuts once.
+        ``n_shards`` is clamped to the vertex count; :meth:`invalidate_cache`
+        drops the cached views.
         """
         from ..shard import ShardedGraph
 
@@ -495,8 +493,6 @@ class Graph:
         self._is_weighted = None
         self._view_fingerprint = None
         self._plans.clear()
-        for sharded in self._sharded.values():
-            sharded.close()
         self._sharded.clear()
 
     # ------------------------------------------------------------------ #

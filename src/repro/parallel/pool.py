@@ -273,6 +273,8 @@ class ForkWorkerPool:
         :class:`WorkerTaskError` carrying its label (shard index, chunk
         range, backend name) so the error identifies *which* piece of work
         failed, and the label lands on the worker's ``worker.task`` span.
+        A failing map still drains every result, then raises the failure
+        with the lowest task id, whatever order the failures arrived in.
         """
         if self._closed:
             raise RuntimeError("pool is closed")
@@ -320,23 +322,17 @@ class ForkWorkerPool:
                     )
                 continue
             _obs.absorb(payload)
-            if err is not None and failure is None:
+            if err is not None:
                 label = labels[task_id] if labels else None
                 _obs.record_event(
                     "worker.task_failed", task_id=task_id, label=label
                 )
-                failure = WorkerTaskError(task_id, label, err)
+                # Report the lowest failing task, not the first to arrive,
+                # so the same inputs always name the same failure.
+                if failure is None or task_id < failure.task_id:
+                    failure = WorkerTaskError(task_id, label, err)
             results[task_id] = value
             received += 1
         if failure is not None:
             raise failure
         return results
-
-    def run_on_all(
-        self,
-        fn: Callable[..., Any],
-        *args: Any,
-        labels: Optional[Sequence[str]] = None,
-    ) -> List[Any]:
-        """Run the same task once per worker (e.g. barrier-style setup)."""
-        return self.map(fn, [tuple(args)] * self.n_workers, labels=labels)

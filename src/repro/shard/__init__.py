@@ -6,11 +6,9 @@ backend.
 """
 
 from .backend import ShardedGEEBackend
-from .sharded import Shard, ShardedGraph, ShardSpec, patch_sums_sharded
+from .sharded import ShardedGraph, patch_sums_sharded
 
 __all__ = [
-    "Shard",
-    "ShardSpec",
     "ShardedGEEBackend",
     "ShardedGraph",
     "patch_sums_sharded",

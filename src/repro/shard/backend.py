@@ -2,9 +2,10 @@
 
 A thin adapter from the :class:`~repro.backends.registry.GEEBackend`
 protocol onto :class:`~repro.shard.ShardedGraph`.  The facade caches
-sharded graphs per shard count (``Graph.shard``), so repeated embeds —
-backend sweeps, the refinement loop, incremental re-fits — pay the
-sort-and-slice compilation once, exactly like cached plans.
+sharded views per shard count (``Graph.shard``) and the sorted plan per
+``K`` (``Graph.plan``), so repeated embeds — backend sweeps, the
+refinement loop, incremental re-fits — compute the row cuts and compile
+the incidence layout once.
 
 The backend deliberately does **not** accept chunked plans: sharding and
 chunking answer the same memory question at different layers, and the
@@ -33,13 +34,13 @@ __all__ = ["ShardedGEEBackend"]
         supports_layout=True,
         supports_sharding=True,
         description=(
-            "owner-range sharded fused edge pass; per-shard raw class sums "
-            "combined by pairwise tree reduction (n_shards option)"
+            "owner-range sharded fused edge pass; each shard writes its own "
+            "rows of one output buffer, no reduction (n_shards option)"
         ),
     ),
 )
 class ShardedGEEBackend(GEEBackend):
-    """Owner-range sharded execution with tree-reduced class sums.
+    """Owner-range sharded execution over the sorted plan.
 
     Options
     -------

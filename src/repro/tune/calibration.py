@@ -170,14 +170,13 @@ def calibrate(
         coefficients[f"{backend_name}:{layout}"] = _fit_coefficients(samples)
 
     # The sharded path, measured at one shard: with s=1 the shard cost
-    # formula collapses to exactly ``fixed + per_edge·E + per_cell·nK``
-    # (no reduction levels), so this fit anchors the model and
-    # ``CostModel._shard_cost`` extrapolates the per-shard fixed cost and
-    # the tree-reduction term to higher shard counts.
+    # formula is exactly ``fixed + per_edge·E + per_cell·nK``, so this fit
+    # anchors the model and ``CostModel._shard_cost`` extrapolates the
+    # per-shard fixed cost and the split edge pass to higher shard counts.
     samples = []
     for graph, labels in cases:
         sharded = graph.shard(1)
-        sharded.embed(labels, K_CAL)  # warm: sort + slice + per-shard plan
+        sharded.embed(labels, K_CAL)  # warm: sorted plan compile
         best = _best_seconds(
             lambda sg=sharded, y=labels: sg.embed(y, K_CAL), repeats
         )

@@ -74,10 +74,10 @@ DEFAULT_CALIBRATION: Dict = {
             "per_cell_s": 0.0,
         },
         # Per-shard cost of the owner-range sharded engine: fixed_s is paid
-        # once per shard (plan dispatch), per_edge_s is the fused
-        # segment-sum scatter (matches vectorized:sorted), per_cell_s
-        # covers one output pass plus the tree-reduction levels (the
-        # shard-count model in choose() multiplies it by 1 + ceil(log2 s)).
+        # once per shard (task dispatch), per_edge_s is the fused
+        # segment-sum scatter (matches vectorized:sorted), per_cell_s is
+        # the single pass over the n*K output (shards write disjoint rows
+        # of one buffer, so there is nothing to reduce).
         "sharded:sorted": {
             "fixed_s": 5.0e-05,
             "per_edge_s": 1.1e-08,
@@ -105,6 +105,12 @@ DEFAULT_CALIBRATION: Dict = {
 
 #: Configurations eligible for the chunked (out-of-core) path.
 _CHUNK_CAPABLE = ("vectorized:sorted", "vectorized:none", "sparse:none", "native:sorted")
+
+#: Dispatch cost of one pooled shard task: with ``s > 1`` shards each shard
+#: runs as one task on the session worker pool.  The ``sharded:sorted``
+#: coefficients are fitted at one shard, in process, so they never see it;
+#: measured at 0.15–0.35 ms per extra shard on a 2-vCPU host.
+_POOL_TASK_S = 2.5e-4
 
 #: The interpreted loop is only ever competitive on toy graphs; beyond this
 #: edge count its candidacy is suppressed so a miscalibrated fixed term can
@@ -330,22 +336,23 @@ class CostModel:
     ) -> Tuple[float, int]:
         """Best predicted cost and shard count for the sharded engine.
 
-        The shard-count axis: ``fixed_s`` is paid once per shard,
-        the edge pass splits across ``min(s, workers)`` workers, and the
-        output term grows with the tree-reduction depth (``ceil(log2 s)``
-        pairwise combines over full-shape partials).  Shard counts are
-        swept over powers of two up to the worker count — beyond that,
-        extra shards only add dispatch and reduction cost.
+        The shard-count axis: ``fixed_s`` is paid once per shard, the
+        edge pass splits across ``min(s, workers)`` workers, and the output
+        term is one ``n·K`` pass whatever the shard count (shards write
+        disjoint rows of one buffer), and ``s > 1`` adds one pooled task
+        dispatch per shard (:data:`_POOL_TASK_S`).  Shard counts are swept
+        over powers of two up to the worker count — beyond that, extra
+        shards only add dispatch cost.
         """
         coeff = self.coefficients[config]
         best_s, best_cost = 1, float("inf")
         s = 1
         while s <= max(1, workers):
-            levels = (s - 1).bit_length()  # == ceil(log2(s)) for s >= 1
             cost = (
                 coeff["fixed_s"] * s
                 + coeff["per_edge_s"] * e / min(s, max(1, workers))
-                + coeff["per_cell_s"] * n * k * (1 + levels)
+                + coeff["per_cell_s"] * n * k
+                + (_POOL_TASK_S * s if s > 1 else 0.0)
             )
             if cost < best_cost:
                 best_s, best_cost = s, cost

@@ -10,6 +10,9 @@ and left stale results in the queue, corrupting the next ``map``.
 
 from __future__ import annotations
 
+import importlib
+import time
+
 import numpy as np
 import pytest
 
@@ -112,28 +115,80 @@ def test_labels_length_mismatch_rejected():
             pool.map(_ok, [(1,), (2,)], labels=["only-one"])
 
 
-def test_sharded_failure_names_shard_and_backend(monkeypatch):
+@pytest.fixture
+def fresh_session_pool():
+    """Fork the session pool inside the test, and drop it afterwards.
+
+    Sharded embeds run on the session pool of ``repro.core.gee_parallel``;
+    workers forked before a monkeypatch never see it, and workers forked
+    after one keep it, so a test that patches the kernel must start and
+    end with no pool.
+    """
+    from repro.core.gee_parallel import shutdown_workers
+
+    shutdown_workers()
+    yield
+    shutdown_workers()
+
+
+def test_sharded_failure_names_shard_and_backend(monkeypatch, fresh_session_pool):
     """A worker-side shard failure identifies shard id, rows and backend.
 
-    The kernel is patched *before* the embed forks its pool, so the
+    The kernel is patched *before* the embed forks the session pool, so the
     injected failure reaches the workers through fork inheritance; on the
-    inline path it fires in-process.  Either way the shard task's wrapper
-    must attach shard id, row range and backend name.
+    inline path it fires in-process.  Either way the shard task's label
+    must carry shard id, row range and backend name.
     """
     edges = erdos_renyi(200, 1500, seed=3)
     graph = Graph.coerce(edges)
     sharded = graph.shard(2)
     labels = np.random.default_rng(0).integers(0, 4, size=200).astype(np.int64)
 
-    from repro.shard import sharded as sharded_mod
+    gee_parallel = importlib.import_module("repro.core.gee_parallel")
 
     def exploding(*args, **kwargs):
         raise ValueError("injected shard failure")
 
-    monkeypatch.setattr(sharded_mod, "accumulate_fused_rows_sorted", exploding)
+    monkeypatch.setattr(gee_parallel, "accumulate_fused_rows_sorted", exploding)
     with pytest.raises(RuntimeError) as exc_info:
         sharded.embed(labels, 4)
     message = str(exc_info.value)
     assert "shard 0" in message
     assert "backend=sharded" in message
     assert "rows [" in message
+
+
+@fork_only
+def test_multi_shard_failure_names_lowest_shard(monkeypatch, fresh_session_pool):
+    """Two failing shards: the pooled error always names shard 0.
+
+    Shard 0 fails late and shard 2 fails at once, so shard 2's failure
+    usually reaches the parent first; the report must not depend on that.
+    """
+    edges = erdos_renyi(300, 3000, seed=5)
+    sharded = Graph.coerce(edges).shard(3)
+    cuts = sharded.row_cuts
+    labels = np.random.default_rng(1).integers(0, 4, size=300).astype(np.int64)
+
+    gee_parallel = importlib.import_module("repro.core.gee_parallel")
+    real_kernel = gee_parallel.accumulate_fused_rows_sorted
+
+    def failing_shards_0_and_2(*args, **kwargs):
+        row_lo = args[7]
+        if row_lo == cuts[0]:
+            time.sleep(0.02)
+            raise ValueError("injected failure in shard 0")
+        if row_lo == cuts[2]:
+            raise ValueError("injected failure in shard 2")
+        return real_kernel(*args, **kwargs)
+
+    monkeypatch.setattr(
+        gee_parallel, "accumulate_fused_rows_sorted", failing_shards_0_and_2
+    )
+    for _ in range(20):
+        with pytest.raises(WorkerTaskError) as exc_info:
+            sharded.embed(labels, 4, n_workers=2)
+        err = exc_info.value
+        assert err.task_id == 0
+        assert err.label.startswith("backend=sharded shard 0 rows [")
+        assert "injected failure in shard 0" in err.worker_traceback

@@ -87,6 +87,28 @@ class TestCostModelShardAxis:
         assert s1 == 1
         assert s8 > 1
 
+    def test_output_term_is_one_pass_at_any_shard_count(self):
+        """Shards write disjoint rows of one buffer: no per-shard reduction."""
+        from repro.tune.cost_model import _POOL_TASK_S
+
+        model = self._model()
+        coeff = model.coefficients["sharded:sorted"]
+        n, e, k = 10_000, 5_000_000, 8
+        cost, s8 = model._shard_cost("sharded:sorted", n, e, k, 8)
+        assert s8 == 8
+        expected = (
+            (coeff["fixed_s"] + _POOL_TASK_S) * 8
+            + coeff["per_edge_s"] * e / 8
+            + coeff["per_cell_s"] * n * k
+        )
+        assert cost == pytest.approx(expected, rel=1e-12)
+
+    def test_small_graphs_stay_on_one_shard(self):
+        """Pool dispatch outweighs splitting a small edge pass."""
+        model = self._model()
+        _, s = model._shard_cost("sharded:sorted", 16_384, 50_000, 50, 2)
+        assert s == 1
+
     def test_choice_records_shard_count(self):
         model = self._model()
         choice = model.choose(10_000, 5_000_000, 8, n_workers_available=8)

@@ -1,6 +1,7 @@
-"""ShardedGraph: exactness, structure invariants, lifecycle, out-of-core."""
+"""ShardedGraph: exactness, structure invariants, forced pool sizes, out-of-core."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,18 +75,18 @@ class TestExactness:
     def test_pooled_equals_serial(self, random_graph):
         """An explicit multi-worker pool must reproduce the serial result."""
         y = random_partial_labels(random_graph.n_vertices, 4, 0.5, seed=2)
-        with ShardedGraph(random_graph, 4) as sg:
-            serial = sg.embed(y, 4, n_workers=1).embedding.copy()
-            pooled_res = sg.embed(y, 4, n_workers=2)
-            np.testing.assert_allclose(pooled_res.embedding, serial, atol=ATOL)
+        sg = ShardedGraph(random_graph, 4)
+        serial = sg.embed(y, 4, n_workers=1).embedding
+        pooled_res = sg.embed(y, 4, n_workers=2)
+        np.testing.assert_allclose(pooled_res.embedding, serial, atol=ATOL)
 
     def test_repeated_embeds_are_identical(self, skewed_graph):
-        """Pinned affinities + fixed reduction order: no run-to-run jitter."""
+        """One task per shard, each writing only its rows: no run-to-run jitter."""
         y = random_partial_labels(skewed_graph.n_vertices, 6, 0.4, seed=3)
-        with ShardedGraph(skewed_graph, 5) as sg:
-            first = sg.embed(y, 6).embedding.copy()
-            second = sg.embed(y, 6).embedding
-            assert np.array_equal(first, second)
+        sg = ShardedGraph(skewed_graph, 5)
+        first = sg.embed(y, 6).embedding
+        second = sg.embed(y, 6).embedding
+        assert np.array_equal(first, second)
 
     def test_fully_labelled_and_all_unknown(self, small_sbm):
         edges, truth = small_sbm
@@ -114,36 +115,63 @@ class TestExactness:
         assert res.projection.shape == (random_graph.n_vertices, 4)
 
 
+def _degrees(edges):
+    n = edges.n_vertices
+    return np.bincount(edges.src, minlength=n) + np.bincount(edges.dst, minlength=n)
+
+
+def _shard_loads(sg, edges):
+    """Incidences owned by each shard, from the vertex degrees."""
+    deg = _degrees(edges)
+    return [int(deg[lo:hi].sum()) for lo, hi in zip(sg.row_cuts[:-1], sg.row_cuts[1:])]
+
+
 class TestStructure:
     def test_row_cuts_partition_the_vertex_range(self, skewed_graph):
         sg = ShardedGraph(skewed_graph, 6)
+        assert sg.row_cuts.size == sg.n_shards + 1 == 7
         assert sg.row_cuts[0] == 0
         assert sg.row_cuts[-1] == skewed_graph.n_vertices
         assert np.all(np.diff(sg.row_cuts) >= 0)
-        specs = [s.spec for s in sg.shards]
-        assert [s.row_lo for s in specs] == list(sg.row_cuts[:-1])
-        assert [s.row_hi for s in specs] == list(sg.row_cuts[1:])
 
     def test_incidences_cover_every_half_edge(self, skewed_graph):
         sg = ShardedGraph(skewed_graph, 6)
-        assert sum(s.n_incidences for s in sg.shards) == 2 * skewed_graph.n_edges
-        for shard in sg.shards:
-            owners = shard.graph.edges.src
-            if owners.size:
-                assert owners.min() >= shard.spec.row_lo
-                assert owners.max() < shard.spec.row_hi
-                assert np.all(np.diff(owners) >= 0)  # slice stays sorted
+        loads = _shard_loads(sg, skewed_graph)
+        assert sum(loads) == 2 * skewed_graph.n_edges
+        # The sorted plan's incidence slices of the row cuts hold exactly
+        # those counts: the executor's tasks see every half-edge once.
+        owner_flat = Graph.coerce(skewed_graph).plan(3, layout="sorted").fused.owner_flat
+        slices = np.diff(np.searchsorted(owner_flat, sg.row_cuts * 3))
+        assert list(slices) == loads
 
     def test_degree_balance(self):
         edges = erdos_renyi(400, 6000, seed=17)
         sg = ShardedGraph(edges, 4)
-        loads = [s.n_incidences for s in sg.shards]
+        loads = _shard_loads(sg, edges)
         # Degree-balanced cuts: no shard should exceed 2x the even share.
         assert max(loads) <= 2 * (2 * edges.n_edges) // 4
 
-    def test_affinities_are_the_shard_ids(self, skewed_graph):
-        sg = ShardedGraph(skewed_graph, 5)
-        assert [s.spec.worker_affinity for s in sg.shards] == [0, 1, 2, 3, 4]
+    def test_cuts_match_the_parallel_row_ranges(self, skewed_graph):
+        g = Graph.coerce(skewed_graph)
+        sg = g.shard(5)
+        ranges = g.plan(3, layout="sorted").fused_row_ranges(5)
+        assert list(sg.row_cuts) == [lo for lo, _ in ranges] + [skewed_graph.n_vertices]
+
+    def test_building_a_view_copies_no_incidences(self):
+        """A shard view allocates O(n), never O(E), once the plan exists."""
+        edges = erdos_renyi(1000, 100_000, seed=4)
+        g = Graph.coerce(edges)
+        g.plan(4, layout="sorted").fused
+        tracemalloc.start()
+        try:
+            sg = g.shard(8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sg.n_shards == 8
+        # A few length-n vectors fit easily; one copy of the 2E incidence
+        # endpoints alone would take 2E * 8 = 1.6 MB.
+        assert peak <= 64 * edges.n_vertices + (64 << 10)
 
     def test_shard_count_clamped_to_vertices(self, tiny_edges):
         sg = ShardedGraph(tiny_edges, 1000)
@@ -170,11 +198,10 @@ class TestFacadeCache:
         tiny = Graph.coerce(EdgeList([0, 1], [1, 2], n_vertices=3))
         assert tiny.shard(50) is tiny.shard(3)
 
-    def test_invalidate_cache_closes_sharded_views(self, random_graph):
+    def test_invalidate_cache_drops_sharded_views(self, random_graph):
         g = Graph.coerce(random_graph)
         sg = g.shard(2)
         g.invalidate_cache()
-        assert sg.closed
         assert g.shard(2) is not sg
 
 
@@ -261,33 +288,32 @@ class TestOutOfCore:
             ShardedGraph(weighted_graph, 2).embed_outofcore(y, 4)
 
 
-class TestLifecycle:
-    def test_close_is_idempotent(self, random_graph):
-        sg = ShardedGraph(random_graph, 2)
-        y = random_partial_labels(random_graph.n_vertices, 3, 0.5, seed=0)
-        sg.embed(y, 3, n_workers=2)
-        sg.close()
-        sg.close()
-        assert sg.closed
+POOL_SIZES = (1, 2, 4)
+FRESH_VIEWS = 40
 
-    def test_closed_graph_still_runs_serial(self, random_graph):
-        sg = ShardedGraph(random_graph, 2)
-        sg.close()
-        y = random_partial_labels(random_graph.n_vertices, 3, 0.5, seed=0)
-        Z = sg.embed(y, 3, n_workers=1).embedding
-        np.testing.assert_allclose(
-            Z, gee_vectorized(random_graph, y, 3).embedding, atol=ATOL
+
+class TestForcedPoolSizes:
+    """Explicit pool sizes, independent of the host's CPU count.
+
+    Every view is fresh, so each pooled embed is the first one after the
+    view was built: the call that once came back with whole shard row
+    windows zeroed when a pool worker took two copies of a task.
+    """
+
+    @pytest.mark.parametrize("n_shards", (1, 2, 7))
+    @pytest.mark.parametrize("n_workers", POOL_SIZES)
+    def test_first_pooled_embed_is_bitwise_serial(
+        self, random_graph, n_workers, n_shards
+    ):
+        y = random_partial_labels(random_graph.n_vertices, 4, 0.5, seed=11)
+        g = Graph.coerce(random_graph)
+        serial = ShardedGraph(g, n_shards).embed(y, 4, n_workers=1).embedding
+        parallel = (
+            get_backend("parallel", n_workers=n_workers)
+            .embed_with_plan(g.plan(4, layout="sorted"), y)
+            .embedding
         )
-
-    def test_closed_graph_rejects_pool(self, random_graph):
-        sg = ShardedGraph(random_graph, 2)
-        sg.close()
-        y = random_partial_labels(random_graph.n_vertices, 3, 0.5, seed=0)
-        with pytest.raises(RuntimeError, match="closed"):
-            sg.embed(y, 3, n_workers=2)
-
-    def test_context_manager(self, random_graph):
-        y = random_partial_labels(random_graph.n_vertices, 3, 0.5, seed=0)
-        with ShardedGraph(random_graph, 2) as sg:
-            sg.embed(y, 3, n_workers=2)
-        assert sg.closed
+        np.testing.assert_allclose(serial, parallel, atol=ATOL, rtol=0)
+        for _ in range(FRESH_VIEWS):
+            pooled = ShardedGraph(g, n_shards).embed(y, 4, n_workers=n_workers)
+            assert np.array_equal(pooled.embedding, serial)

@@ -143,7 +143,9 @@ class TestCalibration:
             vec_edge = data["coefficients"]["vectorized:none"]["per_edge_s"]
             save_calibration(data)
             reset_cost_model()
-            choice = get_cost_model().choose(10_000, 200_000, 32)
+            choice = get_cost_model().choose(
+                10_000, 200_000, 32, n_workers_available=1
+            )
             return (
                 python_edge > 10 * vec_edge
                 and choice.backend in ("vectorized", "sparse")
@@ -166,7 +168,10 @@ class TestCalibration:
             data["coefficients"]["python:none"]["per_edge_s"]
             > 10 * data["coefficients"]["vectorized:none"]["per_edge_s"]
         )
-        choice = model.choose(10_000, 200_000, 32)
+        # One worker: the serial ranking, whatever the host's core count.
+        # With two or more, sharded@s legitimately wins here (its edge pass
+        # splits across workers and it pays no reduction).
+        choice = model.choose(10_000, 200_000, 32, n_workers_available=1)
         assert choice.backend in ("vectorized", "sparse")
 
 
