@@ -47,7 +47,7 @@ class TestFigure2:
     def test_ligra_parallel(self, benchmark, friendster_sim):
         graph, labels, _ = friendster_sim
         backend = get_backend("parallel")
-        backend.embed(graph, labels, N_CLASSES)  # warm pool and shared-graph cache
+        backend.embed(graph, labels, N_CLASSES)  # warm pool and sorted-plan shm
         benchmark(lambda: backend.embed(graph, labels, N_CLASSES))
 
 

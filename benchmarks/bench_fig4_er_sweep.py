@@ -75,7 +75,7 @@ def test_ligra_serial(benchmark, er_cases, exponent):
 def test_ligra_parallel(benchmark, er_cases, exponent):
     graph, labels = er_cases[exponent]
     backend = get_backend("parallel")
-    backend.embed(graph, labels, N_CLASSES)  # warm pool / graph cache
+    backend.embed(graph, labels, N_CLASSES)  # warm pool / sorted plan
     benchmark.extra_info["log2_edges"] = exponent
     benchmark(lambda: backend.embed(graph, labels, N_CLASSES))
 

@@ -72,20 +72,16 @@ def main(argv=None) -> int:
         )
         warm.label = f"{name}/plan"
         speedups[name] = cold.best / warm.best if warm.best > 0 else float("nan")
-        # Record what actually executed — the auto backend re-plans, so its
-        # layout and ExecutionChoice come from probe results, not the
-        # nominal plan (check_regression's like-for-like filter depends on
-        # the layout field being truthful).  Fixed backends run exactly the
-        # nominal configuration, so only auto pays the two probe embeds.
-        if name == "auto":
-            cold_probe = backend.embed(graph, labels, N_CLASSES)
-            warm_probe = backend.embed_with_plan(plan, labels)
-            measured = [
-                (cold, "cold", cold_probe.layout, cold_probe.execution_choice),
-                (warm, "plan", warm_probe.layout, warm_probe.execution_choice),
-            ]
-        else:
-            measured = [(cold, "cold", "none", None), (warm, "plan", "none", None)]
+        # Record what actually executed — auto re-plans and parallel runs
+        # every call on the sorted plan, so the layout and ExecutionChoice
+        # come from probe results, not the nominal plan (check_regression's
+        # like-for-like filter depends on the layout field being truthful).
+        cold_probe = backend.embed(graph, labels, N_CLASSES)
+        warm_probe = backend.embed_with_plan(plan, labels)
+        measured = [
+            (cold, "cold", cold_probe.layout, cold_probe.execution_choice),
+            (warm, "plan", warm_probe.layout, warm_probe.execution_choice),
+        ]
         if backend_capabilities(name).supports_layout and name != "auto":
             # The segment-sum gate: the sorted fused kernel on a cached
             # layout plan, against the same backend's cold path.

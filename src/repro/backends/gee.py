@@ -20,7 +20,8 @@ ligra-vectorized   engine, flat NumPy slabs (alias: ``ligra``)   GEE-Ligra S
 ligra-threads      engine, degree-balanced threads + atomics     —
 ligra-processes    engine, forked workers + reduction            GEE-Ligra P
                    (alias: ``ligra-parallel``)
-parallel           owner-computes rows over shared memory        GEE-Ligra P
+parallel           owner-computes rows of the sorted incidence   GEE-Ligra P
+                   over shared memory
 ================== ============================================= ===========
 
 Every backend also implements the compiled-plan path
@@ -244,12 +245,15 @@ class LigraProcessesGEEBackend(_LigraGEEBackend):
         supports_chunked=True,
         supports_incremental=True,
         supports_layout=True,
-        description="owner-computes row partition over a persistent fork pool",
+        description="owner-computes sorted-incidence row ranges over a persistent fork pool",
     ),
 )
 class ProcessParallelGEEBackend(GEEBackend):
     """The strong-scaling kernel: owner-computes rows, shared-memory output.
 
+    Every in-memory call runs on a ``layout="sorted"`` plan: each worker
+    reads one degree-balanced row range of its owner-sorted incidence (an
+    arrival-order plan or a one-shot graph runs on the graph's sorted plan).
     Deterministic despite being parallel — every embedding row is computed
     start-to-finish by exactly one worker in a fixed traversal order.  The
     chunked (out-of-core) path trades that row partition for per-worker

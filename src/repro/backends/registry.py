@@ -190,9 +190,16 @@ class GEEBackend:
             raise ValueError(
                 f"backend {type(self).name!r} does not support weighted graphs"
             )
-        return self._run_observed(
-            "embed", lambda: self._embed(g, labels, n_classes), n_edges=g.n_edges
-        )
+        try:
+            return self._run_observed(
+                "embed", lambda: self._embed(g, labels, n_classes), n_edges=g.n_edges
+            )
+        finally:
+            if g is not graph:
+                # A facade coerced for this call alone: whatever it cached
+                # that points back at it would form a reference cycle and
+                # hold plan-sized arrays until the cyclic collector runs.
+                g._drop_compiled()
 
     __call__ = embed
 

@@ -12,30 +12,35 @@ Parallelisation strategy
 Ligra's ``edgeMapDense`` iterates over *destination* vertices and their
 in-edges, which makes every embedding row single-writer; the atomics only
 guard the much rarer source-row updates.  The kernel here takes that idea
-to its limit with an **owner-computes row partition**:
+to its limit with an **owner-computes row partition** over the plan's
+sorted incidence (``layout="sorted"``, see
+:class:`~repro.core.plan.FusedLayout`), where every edge appears twice,
+once per endpoint as owner, sorted by owner row:
 
 * the embedding rows (vertices) are split into ``p`` ranges balanced by
   total (in + out) degree;
-* worker ``j`` computes *all* contributions that land in its row range —
-  the out-edge contributions ``Z[u, Y[v]]`` for its ``u`` range (read from
-  the CSR out-adjacency) and the in-edge contributions ``Z[v, Y[u]]`` for
-  its ``v`` range (read from the CSC in-adjacency);
+* worker ``j`` finds its row range's slice of the sorted incidence with
+  two binary searches and computes *all* contributions that land in it
+  (``Z[owner, Y[partner]] += w``) with block-local segment sums, then
+  rescales its rows by ``diag(1/n_c)``;
 * each worker writes its block of the shared-memory ``Z`` directly.
 
 No two workers ever write the same row, so there are no atomics, no locks
 and no reduction — the CPython substitute for Ligra's lock-free writeAdd
 that preserves the edge-parallel structure (every edge is still visited
 exactly twice, once per endpoint) while sidestepping the GIL entirely.
+:func:`run_fused_ranges` is that one executor; ``backend="parallel"``,
+:func:`gee_parallel` and :class:`~repro.shard.ShardedGraph` all run on it.
 
 Worker management mirrors how Ligra treats its thread pool: the workers are
 a long-lived resource created once per session (``fork`` is two orders of
 magnitude more expensive than dispatching a task to an already-forked
 worker in this environment), and each embedding call only dispatches row
 ranges to them.  All inputs and the output travel through named POSIX
-shared memory; the shared copy of the adjacency is cached between calls on
-the same graph, so repeated runs (benchmark repeats, worker sweeps) pay the
-one-time copy only once — the analogue of Ligra having loaded the graph
-before the timed region starts.
+shared memory; the shared copy of a plan's incidence arrays is cached for
+the plan's lifetime, so repeated runs on one ``Graph`` (benchmark repeats,
+worker sweeps) pay the one-time copy only once — the analogue of Ligra
+having loaded the graph before the timed region starts.
 """
 
 from __future__ import annotations
@@ -43,13 +48,11 @@ from __future__ import annotations
 import atexit
 import time
 import weakref
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..graph.csr import CSRGraph
-from ..graph.edgelist import EdgeList
-from ..graph.facade import Graph
+from ..graph.facade import Graph, GraphLike
 from ..parallel.partition import block_ranges
 from ..parallel.pool import (
     ForkWorkerPool,
@@ -61,13 +64,13 @@ from ..analysis.annotations import hot_path
 from ..obs import trace
 from ..parallel.shm import SharedArrayHandle, SharedArraySet, attach_many
 from .gee_vectorized import accumulate_fused_rows_sorted, scatter_add
+from .plan import EmbedPlan
 from .projection import projection_from_scales, projection_scales
 from .result import EmbeddingResult
 from .validation import (
     UNKNOWN_LABEL,
     class_counts,
     inverse_class_counts,
-    validate_edges,
     validate_labels,
 )
 
@@ -75,7 +78,6 @@ __all__ = [
     "gee_parallel",
     "gee_parallel_with_plan",
     "gee_parallel_chunked",
-    "owner_rows_accumulate",
     "patch_sums_parallel",
     "shutdown_workers",
 ]
@@ -139,67 +141,6 @@ def patch_sums_parallel(
     scatter_add(S_flat, flat, contrib)
 
 
-@hot_path(reason="owner-computes row kernel run by every forked worker")
-def owner_rows_accumulate(
-    row_lo: int,
-    row_hi: int,
-    out_indptr: np.ndarray,
-    out_indices: np.ndarray,
-    out_weights: np.ndarray,
-    in_indptr: np.ndarray,
-    in_indices: np.ndarray,
-    in_weights: np.ndarray,
-    labels: np.ndarray,
-    scales: np.ndarray,
-    n_classes: int,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Compute the embedding rows ``row_lo:row_hi`` from scratch.
-
-    Combines the out-edge contributions (``Z[u, Y[v]] += scale[v]·w`` for
-    ``u`` in the row range) and the in-edge contributions
-    (``Z[v, Y[u]] += scale[u]·w`` for ``v`` in the row range) of every edge
-    incident to the range.  Returns the dense ``(row_hi-row_lo, K)`` block.
-    ``out`` may supply a reusable flat ``(n_rows*K,)`` buffer (zeroed here).
-    """
-    n_rows = row_hi - row_lo
-    if out is None:
-        # repro: ignore[hot-path-alloc] per-worker private row block; callers pass out= to reuse it
-        block = np.zeros(n_rows * n_classes, dtype=np.float64)
-    else:
-        block = out
-        block.fill(0.0)
-    if n_rows <= 0:
-        return block.reshape(0, n_classes)
-
-    # Out-edges of the owned rows: source row gets the destination's class.
-    lo, hi = int(out_indptr[row_lo]), int(out_indptr[row_hi])
-    if hi > lo:
-        dst = out_indices[lo:hi]
-        w = out_weights[lo:hi]
-        deg = np.diff(out_indptr[row_lo : row_hi + 1])
-        src_local = np.repeat(np.arange(n_rows, dtype=np.int64), deg)
-        y_dst = labels[dst]
-        known = y_dst != UNKNOWN_LABEL
-        if np.any(known):
-            flat = src_local[known] * n_classes + y_dst[known]
-            scatter_add(block, flat, scales[dst[known]] * w[known])
-
-    # In-edges of the owned rows: destination row gets the source's class.
-    lo, hi = int(in_indptr[row_lo]), int(in_indptr[row_hi])
-    if hi > lo:
-        src = in_indices[lo:hi]
-        w = in_weights[lo:hi]
-        deg = np.diff(in_indptr[row_lo : row_hi + 1])
-        dst_local = np.repeat(np.arange(n_rows, dtype=np.int64), deg)
-        y_src = labels[src]
-        known = y_src != UNKNOWN_LABEL
-        if np.any(known):
-            flat = dst_local[known] * n_classes + y_src[known]
-            scatter_add(block, flat, scales[src[known]] * w[known])
-    return block.reshape(n_rows, n_classes)
-
-
 #: Worker-process cache of shared-memory attachments, keyed by segment name.
 #: Re-mapping (and therefore re-faulting) hundreds of megabytes of adjacency
 #: on every task would dominate the runtime in this sandbox, so each worker
@@ -241,37 +182,8 @@ def _attach_cached(handles: Dict[str, SharedArrayHandle]) -> Dict[str, np.ndarra
     return views
 
 
-def _pool_task(
-    _context: dict,
-    handles: Dict[str, SharedArrayHandle],
-    row_lo: int,
-    row_hi: int,
-    n_classes: int,
-) -> None:
-    """Worker task: fill the owned row block of the shared embedding.
-
-    Runs inside a long-lived pool worker; all arrays are reached through the
-    shared-memory handles, so the task payload is a few hundred bytes.
-    """
-    views = _attach_cached(handles)
-    block = owner_rows_accumulate(
-        row_lo,
-        row_hi,
-        views["out_indptr"],
-        views["out_indices"],
-        views["out_weights"],
-        views["in_indptr"],
-        views["in_indices"],
-        views["in_weights"],
-        views["labels"],
-        views["scales"],
-        n_classes,
-    )
-    views["Z"][row_lo:row_hi, :] = block
-
-
 # --------------------------------------------------------------------------- #
-# Long-lived worker pool and shared-graph cache
+# Long-lived worker pool and shared-memory caches
 # --------------------------------------------------------------------------- #
 _POOL: Optional[ForkWorkerPool] = None
 
@@ -294,7 +206,7 @@ def _get_pool(n_workers: Optional[int] = None) -> ForkWorkerPool:
 
 
 def shutdown_workers() -> None:
-    """Terminate the session's GEE worker pool and drop the graph cache.
+    """Terminate the session's GEE worker pool and drop its shared memory.
 
     Mostly useful in tests and at interpreter shutdown; a subsequent
     :func:`gee_parallel` call transparently recreates the pool.
@@ -303,9 +215,6 @@ def shutdown_workers() -> None:
     if _POOL is not None:
         _POOL.close()
         _POOL = None
-    for entry in list(_GRAPH_CACHE.values()):
-        entry.close()
-    _GRAPH_CACHE.clear()
     for entry in list(_FUSED_CACHE.values()):
         entry.close()
     _FUSED_CACHE.clear()
@@ -315,42 +224,6 @@ def shutdown_workers() -> None:
 
 
 atexit.register(shutdown_workers)
-
-
-class _SharedGraph:
-    """Shared-memory copy of one graph's adjacency arrays."""
-
-    def __init__(self, csr: CSRGraph) -> None:
-        with trace("shm.ship", what="graph", n_edges=csr.n_edges):
-            self.shm = SharedArraySet()
-            self.shm.share("out_indptr", csr.indptr)
-            self.shm.share("out_indices", csr.indices)
-            self.shm.share("out_weights", csr.weights)
-            self.shm.share("in_indptr", csr.in_indptr)
-            self.shm.share("in_indices", csr.in_indices)
-            self.shm.share("in_weights", csr.in_weights)
-            self.handles = self.shm.handles()
-
-    def close(self) -> None:
-        self.shm.close()
-
-
-#: Cache of shared-memory graphs keyed by the id() of the CSRGraph; entries
-#: are dropped automatically when the CSRGraph is garbage collected.
-_GRAPH_CACHE: Dict[int, _SharedGraph] = {}
-
-
-def evict_shared_graph(csr: CSRGraph) -> None:
-    """Drop the shared-memory copy of ``csr``'s adjacency, if one exists.
-
-    Needed when a long-lived CSR is mutated in place
-    (``Graph.invalidate_cache`` calls this): the cache is keyed by object
-    identity, so without eviction the fork workers would keep reading the
-    pre-mutation shared copy.
-    """
-    stale = _GRAPH_CACHE.pop(id(csr), None)
-    if stale is not None:
-        stale.close()
 
 
 class _SharedFused:
@@ -371,7 +244,8 @@ class _SharedFused:
 
 #: Cache of shared-memory fused layouts keyed by id() of the FusedLayout;
 #: entries drop automatically when the layout is garbage collected (the
-#: layout lives on its EmbedPlan, which the Graph's plan cache owns).
+#: layout lives on its EmbedPlan: a Graph's cached plan, or the private
+#: plan of one one-shot :func:`gee_parallel` call).
 _FUSED_CACHE: Dict[int, _SharedFused] = {}
 
 
@@ -431,20 +305,19 @@ def _fused_pool_task(
 
 
 class _Workspace:
-    """Reusable per-call shared buffers (labels, scales, embedding output).
+    """Reusable per-call shared buffers (labels, rescale, embedding output).
 
     Reusing the same named segments across calls lets the pool workers keep
     their mappings warm (see ``_WORKER_ATTACHMENTS``); only the small label
-    and scale vectors are rewritten per call.
+    and rescale vectors are rewritten per call.
     """
 
     def __init__(self, n: int, k: int) -> None:
         self.n, self.k = n, k
         self.shm = SharedArraySet()
         self.labels = self.shm.empty("labels", (n,), np.int64)
-        self.scales = self.shm.empty("scales", (n,), np.float64)
-        #: Per-column ``1/n_c`` rescale vector for the fused path (written
-        #: once per call by the parent; workers multiply their row slices).
+        #: Per-column ``1/n_c`` rescale vector (written once per call by
+        #: the parent; workers multiply their row slices).
         self.inv = self.shm.empty("inv", (k,), np.float64)
         self.Z = self.shm.empty("Z", (n, k), np.float64)
         self.handles = self.shm.handles()
@@ -465,23 +338,6 @@ def _workspace_for(n: int, k: int) -> _Workspace:
     return _WORKSPACE
 
 
-def _shared_graph_for(csr: CSRGraph) -> _SharedGraph:
-    key = id(csr)
-    cached = _GRAPH_CACHE.get(key)
-    if cached is not None:
-        return cached
-    entry = _SharedGraph(csr)
-    _GRAPH_CACHE[key] = entry
-
-    def _evict(_ref, key=key) -> None:
-        stale = _GRAPH_CACHE.pop(key, None)
-        if stale is not None:
-            stale.close()
-
-    weakref.finalize(csr, _evict, None)
-    return entry
-
-
 def balanced_ranges_from_work(work: np.ndarray, n_parts: int) -> list:
     """Split ``len(work)`` rows into ranges with near-equal total work."""
     n = work.size
@@ -496,16 +352,20 @@ def balanced_ranges_from_work(work: np.ndarray, n_parts: int) -> list:
     return [(int(cuts[i]), int(cuts[i + 1])) for i in range(n_parts)]
 
 
-def _balanced_row_ranges(
-    out_indptr: np.ndarray, in_indptr: np.ndarray, n_parts: int
-) -> list:
-    """Split vertices into ranges with near-equal total (in+out) edge work."""
-    work = out_indptr[1:] - out_indptr[:-1] + in_indptr[1:] - in_indptr[:-1]
-    return balanced_ranges_from_work(work, n_parts)
+def _requested_workers(n_workers: Optional[int]) -> int:
+    """Resolve ``n_workers``; an explicit >1 request without ``fork`` raises."""
+    requested = resolve_worker_count(n_workers)
+    if n_workers is not None and int(n_workers) > 1 and not fork_available():
+        raise RuntimeError(
+            f"gee_parallel: n_workers={requested} requested but the 'fork' start "
+            "method is unavailable on this platform; pass n_workers=1 (or None "
+            "for the automatic fallback)"
+        )
+    return requested
 
 
 def gee_parallel(
-    edges: Union[EdgeList, CSRGraph, Graph],
+    edges: GraphLike,
     labels: np.ndarray,
     n_classes: Optional[int] = None,
     *,
@@ -517,11 +377,15 @@ def gee_parallel(
     ----------
     edges:
         The graph as a :class:`~repro.graph.facade.Graph`, an
-        :class:`EdgeList`, a prebuilt :class:`CSRGraph`, or any other
-        graph-like input (coerced through :meth:`Graph.coerce`).  Adjacency
-        construction (the equivalent of Ligra loading its graph) is reported
+        :class:`~repro.graph.edgelist.EdgeList`, a prebuilt
+        :class:`~repro.graph.csr.CSRGraph`, or any other graph-like input
+        (coerced through :meth:`Graph.coerce`).  The sorted plan's
+        compilation (the equivalent of Ligra loading its graph) is reported
         separately under the ``"preprocess"`` timing and is not part of the
-        embedding time; passing a ``Graph`` reuses its cached CSR views.
+        embedding time.  A ``Graph`` runs on its cached
+        ``plan(K, layout="sorted")``, so repeated calls on it compile and
+        ship the incidence arrays once; any other input is compiled afresh
+        on every call and released when the call returns.
     labels, n_classes:
         As in :func:`repro.core.gee_python.gee_python`.
     n_workers:
@@ -531,126 +395,28 @@ def gee_parallel(
         — it is never silently clamped or degraded; an impossible request
         (absurd oversubscription, or >1 workers on a platform without
         ``fork``) raises instead.
+
+    The returned embedding is owned by the result (it aliases no plan
+    buffer), unlike :func:`gee_parallel_with_plan`'s.
     """
-    timings: Dict[str, float] = {}
     t_pre = time.perf_counter()
-    if isinstance(edges, Graph):
-        csr = edges.csr
-    elif isinstance(edges, CSRGraph):
-        csr = edges
+    graph = Graph.coerce(edges)
+    y, k = validate_labels(labels, graph.n_vertices, n_classes)
+    if graph is edges:
+        plan = graph.plan(k, layout="sorted")
     else:
-        edges = validate_edges(edges)
-        csr = edges.to_csr()
-    n = csr.n_vertices
-    # Force construction of the in-adjacency before timing the edge pass.
-    in_indptr = csr.in_indptr
-    in_indices = csr.in_indices
-    in_weights = csr.in_weights
-    timings["preprocess"] = time.perf_counter() - t_pre
+        # A private plan, not the facade's cached one: caching it would tie
+        # graph and plan in a reference cycle and keep both alive until the
+        # cyclic collector runs.
+        plan = EmbedPlan(graph, k, layout="sorted")
+    preprocess = time.perf_counter() - t_pre
 
-    y, k = validate_labels(labels, n, n_classes)
-    explicit = n_workers is not None and int(n_workers) > 0
-    requested = resolve_worker_count(n_workers)
-    if explicit and requested > 1 and not fork_available():
-        raise RuntimeError(
-            f"gee_parallel: n_workers={requested} requested but the 'fork' start "
-            "method is unavailable on this platform; pass n_workers=1 (or None "
-            "for the automatic fallback)"
-        )
-
-    t0 = time.perf_counter()
-    # Algorithm 2 lines 3-6, in the compact per-vertex form: the scales are
-    # O(n) to build and the dense W follows with one vectorised assignment.
-    scales = projection_scales(y, k)
-    W = projection_from_scales(y, scales, k)
-    t1 = time.perf_counter()
-    timings["projection"] = t1 - t0
-
-    if requested == 1 or not fork_available() or csr.n_edges == 0 or n == 0:
-        Z = owner_rows_accumulate(
-            0,
-            n,
-            csr.indptr,
-            csr.indices,
-            csr.weights,
-            in_indptr,
-            in_indices,
-            in_weights,
-            y,
-            scales,
-            k,
-        )
-        t2 = time.perf_counter()
-        timings["edge_pass"] = t2 - t1
-        timings["total"] = t2 - t0
-        return EmbeddingResult(
-            embedding=Z, projection=W, timings=timings, method="gee-parallel", n_workers=1
-        )
-
-    ranges = _balanced_row_ranges(csr.indptr, in_indptr, requested)
-    # Shared-memory plumbing: the adjacency copy is cached per graph (graph
-    # loading, reported as preprocess); labels/scales/Z are per call.
-    t_share = time.perf_counter()
-    shared_graph = _shared_graph_for(csr)
-    pool = _get_pool(requested)
-    timings["preprocess"] += time.perf_counter() - t_share
-
-    workspace, handles = _prepare_workspace(csr, shared_graph, y, scales, k)
-
-    t_edge = time.perf_counter()
-    Z = _run_ranges(pool, handles, ranges, k, workspace, out=None)
-    t2 = time.perf_counter()
-    timings["edge_pass"] = t2 - t_edge
-    timings["total"] = t2 - t0
-
-    return EmbeddingResult(
-        embedding=Z, projection=W, timings=timings, method="gee-parallel", n_workers=requested
+    result = _gee_parallel_fused(
+        plan, y, n_workers=n_workers, out=np.empty((plan.n_vertices, k))
     )
-
-
-def _prepare_workspace(
-    csr: CSRGraph,
-    shared_graph: "_SharedGraph",
-    y: np.ndarray,
-    scales: np.ndarray,
-    k: int,
-):
-    """Stage one call's inputs in shared memory (outside the timed region).
-
-    Only the label and scale vectors are rewritten per call — the adjacency
-    arrays were shipped once when the shared graph was first cached.
-    Returns ``(workspace, handles)`` for :func:`_run_ranges`.
-    """
-    workspace = _workspace_for(csr.n_vertices, k)
-    workspace.labels[:] = y
-    workspace.scales[:] = scales
-    handles = dict(shared_graph.handles)
-    handles.update(workspace.handles)
-    return workspace, handles
-
-
-def _run_ranges(
-    pool: ForkWorkerPool,
-    handles: Dict[str, SharedArrayHandle],
-    ranges: list,
-    k: int,
-    workspace: "_Workspace",
-    out: Optional[np.ndarray],
-) -> np.ndarray:
-    """The timed edge pass: dispatch row ranges and collect ``Z``."""
-    with trace("parallel.dispatch", backend="parallel", n_tasks=len(ranges)):
-        pool.map(
-            _pool_task,
-            [(handles, row_lo, row_hi, k) for row_lo, row_hi in ranges],
-            labels=[
-                f"backend=parallel rows[{row_lo}:{row_hi}]"
-                for row_lo, row_hi in ranges
-            ],
-        )
-    if out is None:
-        return np.array(workspace.Z, dtype=np.float64, copy=True)
-    np.copyto(out, workspace.Z)
-    return out
+    result.timings["preprocess"] += preprocess
+    result.buffer_view = False
+    return result
 
 
 def _chunked_pool_task(
@@ -742,14 +508,7 @@ def gee_parallel_chunked(
     n = plan.n_vertices
     timings: Dict[str, float] = {}
 
-    explicit = n_workers is not None and int(n_workers) > 0
-    requested = resolve_worker_count(n_workers)
-    if explicit and requested > 1 and not fork_available():
-        raise RuntimeError(
-            f"gee_parallel: n_workers={requested} requested but the 'fork' start "
-            "method is unavailable on this platform; pass n_workers=1 (or None "
-            "for the automatic fallback)"
-        )
+    requested = _requested_workers(n_workers)
 
     t0 = time.perf_counter()
     scales = projection_scales(y, k)
@@ -972,16 +731,17 @@ def _gee_parallel_fused(
     labels: np.ndarray,
     *,
     n_workers: Optional[int] = None,
+    out: Optional[np.ndarray] = None,
 ) -> EmbeddingResult:
     """Owner-computes parallel GEE over a plan's *sorted* fused layout.
 
-    Same owner-computes guarantees as the classic path (every row
-    single-writer, deterministic, no atomics), but the workers read the
-    plan's sorted incidence arrays instead of CSR/CSC adjacency: the
+    Every row is single-writer, deterministic and free of atomics: the
     degree-balanced row ranges run through :func:`run_fused_ranges`, each
     worker rescaling its own rows by ``diag(1/n_c)``.  Only the label
     vector travels per call; the incidence arrays ship through shared
-    memory once per plan.
+    memory once per plan.  The embedding is written into ``out`` (an
+    ``(n, K)`` C-contiguous array), by default the plan's reused output
+    buffer.
     """
     y = plan.validate_labels(labels)
     k = plan.n_classes
@@ -991,18 +751,11 @@ def _gee_parallel_fused(
     fused = plan.fused  # compiled once, cached on the plan
     timings["preprocess"] = time.perf_counter() - t_pre
 
-    explicit = n_workers is not None and int(n_workers) > 0
-    requested = resolve_worker_count(n_workers)
-    if explicit and requested > 1 and not fork_available():
-        raise RuntimeError(
-            f"gee_parallel: n_workers={requested} requested but the 'fork' start "
-            "method is unavailable on this platform; pass n_workers=1 (or None "
-            "for the automatic fallback)"
-        )
+    requested = _requested_workers(n_workers)
 
     t0 = time.perf_counter()
     ranges = plan.fused_row_ranges(requested)
-    Z = plan.output_matrix()
+    Z = plan.output_matrix() if out is None else out
     t1 = time.perf_counter()
     timings["projection"] = t1 - t0
 
@@ -1040,105 +793,40 @@ def gee_parallel_with_plan(
 ) -> EmbeddingResult:
     """Process-parallel GEE on a compiled :class:`~repro.core.plan.EmbedPlan`.
 
-    The plan's CSR/CSC views were forced at compilation and its
-    shared-memory copy is cached after the first call, so per call only the
-    label and scale vectors travel to the worker pool; the degree-balanced
-    row partition is cached on the plan per worker count (worker sweeps
-    partition once per count).  The returned embedding is a view of the
-    plan's reused output buffer.
+    The plan's sorted incidence arrays ship to shared memory on the first
+    call and stay cached, so per call only the label vector travels to the
+    worker pool; the degree-balanced row partition is cached on the plan
+    per worker count (worker sweeps partition once per count).  The
+    returned embedding is a view of the plan's reused output buffer.
 
-    Layout plans route to the fused segment-sum kernels: ``"sorted"``
-    supports the full owner-computes worker partition
-    (:func:`_gee_parallel_fused`); ``"blocked"`` buckets cannot be split by
-    row range, so it runs the serial fused kernel in-process.
+    ``"sorted"`` plans run the owner-computes worker partition
+    (:func:`_gee_parallel_fused`).  A layout-preserving ``"none"`` plan
+    runs the same partition on its graph's cached ``layout="sorted"``
+    plan, writing into the calling plan's own buffer.  ``"blocked"``
+    buckets cannot be split by row range, so such a plan runs the serial
+    fused kernel in-process.
     """
     if plan.layout == "sorted":
         return _gee_parallel_fused(plan, labels, n_workers=n_workers)
-    if plan.layout == "blocked":
-        # Blocked buckets keep arrival order inside each block, so they
-        # cannot be split into single-writer row ranges; the kernel is
-        # inherently serial.  An explicit multi-worker request is therefore
-        # unsatisfiable and raises (same contract as every other
-        # impossible explicit n_workers), instead of silently degrading.
-        if n_workers is not None and int(n_workers) > 1:
-            raise RuntimeError(
-                f"gee_parallel: n_workers={int(n_workers)} requested but a "
-                'layout="blocked" plan runs the serial fused kernel (its '
-                "buckets cannot be row-partitioned); use layout=\"sorted\" "
-                "for the parallel fused path, or drop n_workers"
-            )
-        from .gee_vectorized import gee_fused_with_plan
-
-        result = gee_fused_with_plan(plan, labels)
-        result.method = "gee-parallel"
-        return result
-    y = plan.validate_labels(labels)
-    k = plan.n_classes
-    n = plan.n_vertices
-    timings: Dict[str, float] = {}
-
-    # Materialise the plan's adjacency views (cached after the first call)
-    # before any timed region starts — same treatment as classic
-    # gee_parallel's "preprocess" phase.
-    t_pre = time.perf_counter()
-    csr = plan.csr
-    in_indptr = csr.in_indptr
-    timings["preprocess"] = time.perf_counter() - t_pre
-
-    explicit = n_workers is not None and int(n_workers) > 0
-    requested = resolve_worker_count(n_workers)
-    if explicit and requested > 1 and not fork_available():
+    if plan.layout == "none":
+        sorted_plan = plan.graph.plan(plan.n_classes, layout="sorted")
+        return _gee_parallel_fused(
+            sorted_plan, labels, n_workers=n_workers, out=plan.output_matrix()
+        )
+    # Blocked buckets keep arrival order inside each block, so they cannot
+    # be split into single-writer row ranges; the kernel is inherently
+    # serial.  An explicit multi-worker request is therefore unsatisfiable
+    # and raises (same contract as every other impossible explicit
+    # n_workers), instead of silently degrading.
+    if n_workers is not None and int(n_workers) > 1:
         raise RuntimeError(
-            f"gee_parallel: n_workers={requested} requested but the 'fork' start "
-            "method is unavailable on this platform; pass n_workers=1 (or None "
-            "for the automatic fallback)"
+            f"gee_parallel: n_workers={int(n_workers)} requested but a "
+            'layout="blocked" plan runs the serial fused kernel (its '
+            "buckets cannot be row-partitioned); use layout=\"sorted\" "
+            "for the parallel fused path, or drop n_workers"
         )
+    from .gee_vectorized import gee_fused_with_plan
 
-    t0 = time.perf_counter()
-    scales = projection_scales(y, k)
-    t1 = time.perf_counter()
-    timings["projection"] = t1 - t0
-
-    if requested == 1 or not fork_available() or csr.n_edges == 0 or n == 0:
-        t_edge = time.perf_counter()
-        Z = owner_rows_accumulate(
-            0,
-            n,
-            csr.indptr,
-            csr.indices,
-            csr.weights,
-            in_indptr,
-            csr.in_indices,
-            csr.in_weights,
-            y,
-            scales,
-            k,
-            out=plan.zeroed_output(),
-        )
-        workers = 1
-    else:
-        ranges = plan.row_ranges(requested)
-        t_share = time.perf_counter()
-        shared_graph = _shared_graph_for(csr)
-        pool = _get_pool(requested)
-        timings["preprocess"] += time.perf_counter() - t_share
-        workspace, handles = _prepare_workspace(csr, shared_graph, y, scales, k)
-        t_edge = time.perf_counter()
-        Z = _run_ranges(pool, handles, ranges, k, workspace, out=plan.output_matrix())
-        workers = requested
-    t2 = time.perf_counter()
-    timings["edge_pass"] = t2 - t_edge
-    # Same semantics as classic gee_parallel: total spans projection start
-    # to edge-pass end, including the per-call O(n) label/scale staging
-    # (after the first call the shared graph and row ranges are cache hits,
-    # so the extra span over projection+edge_pass is the staging cost).
-    timings["total"] = t2 - t0
-
-    return EmbeddingResult(
-        embedding=Z,
-        projection_builder=lambda: projection_from_scales(y, scales, k),
-        timings=timings,
-        method="gee-parallel",
-        n_workers=workers,
-        buffer_view=True,
-    )
+    result = gee_fused_with_plan(plan, labels)
+    result.method = "gee-parallel"
+    return result

@@ -469,12 +469,11 @@ def _accumulate_chunked_incidence(
     Accumulates *raw* sums into ``Z_flat`` (``+=`` — a row may straddle a
     chunk boundary); the caller rescales columns once at the end.
     """
-    from .plan import _LAYOUT_BLOCK_BYTES
+    from .plan import _rows_per_block
 
     k = plan.n_classes
     n = plan.n_vertices
-    rows_per_block = max(1, _LAYOUT_BLOCK_BYTES // (k * 8))
-    row_bounds = np.arange(0, n, rows_per_block, dtype=np.int64)
+    row_bounds = np.arange(0, n, _rows_per_block(k), dtype=np.int64)
     row_bounds = np.append(row_bounds, n)
     flat_bounds = row_bounds * k
     fully = bool(y.size) and int(y.min()) != UNKNOWN_LABEL

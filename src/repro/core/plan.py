@@ -74,6 +74,11 @@ _INT32_LIMIT = 2**31
 _LAYOUT_BLOCK_BYTES = 1 << 18
 
 
+def _rows_per_block(n_classes: int, block_bytes: int = _LAYOUT_BLOCK_BYTES) -> int:
+    """Owner rows per block: as many ``K``-wide float64 rows as fit ``block_bytes``."""
+    return max(1, int(block_bytes) // (int(n_classes) * 8))
+
+
 def choose_index_dtype(n_vertices: int, n_classes: int, *, limit: int = _INT32_LIMIT):
     """The narrowest integer dtype that can hold every flat index ``< n*K``.
 
@@ -205,7 +210,7 @@ def compile_fused_layout(
     n = int(n_vertices)
     k = int(n_classes)
     idx_dtype = choose_index_dtype(n, k, limit=int32_limit)
-    rows_per_block = max(1, int(block_bytes) // (k * 8))
+    rows_per_block = _rows_per_block(k, block_bytes)
 
     owner = np.concatenate((src, dst))
     partner = np.concatenate((dst, src))
@@ -366,13 +371,15 @@ class EmbedPlan:
     * the flat-index components ``src*K`` and ``dst*K`` the vectorised
       scatter kernels otherwise recompute per call;
     * the CSR out-adjacency and CSC (reverse) in-adjacency views;
-    * unweighted out-/in-degree vectors (the degree scales used by row
-      partitioning);
+    * unweighted out-/in-degree vectors, and the total degrees behind the
+      per-worker-count row partitions of :meth:`fused_row_ranges`;
     * the reusable flat ``(n*K,)`` output buffer;
-    * the scipy adjacency pair and the per-worker-count row partitions.
+    * the scipy adjacency pair.
 
-    Do not construct directly — use :meth:`repro.graph.facade.Graph.plan`,
-    which caches one plan per ``K`` and handles invalidation.
+    Compile through :meth:`repro.graph.facade.Graph.plan`, which caches one
+    plan per ``K`` and handles invalidation; a directly constructed plan is
+    an uncached one-off (how a one-shot
+    :func:`~repro.core.gee_parallel.gee_parallel` call compiles its own).
     """
 
     #: Class-level dispatch flag: chunk-aware consumers check it instead of
@@ -424,7 +431,6 @@ class EmbedPlan:
         self._fused_row_ranges: Dict[int, List[Tuple[int, int]]] = {}
         self._Z_flat: Optional[np.ndarray] = None
         self._in_degrees: Optional[np.ndarray] = None
-        self._row_ranges: Dict[int, List[Tuple[int, int]]] = {}
         self._scipy_adj = None
         self._scipy_adj_T = None
         #: Resource-free Ligra engines cached per engine-backend name (the
@@ -547,8 +553,8 @@ class EmbedPlan:
 
         Accessing :attr:`~repro.graph.csr.CSRGraph.in_indptr` on it builds
         the CSC (in-adjacency) triple, which the CSRGraph then caches — so
-        the parallel/Ligra/delta consumers pay that build at most once per
-        graph, and edge-array-only backends never pay it.
+        the Ligra/delta consumers pay that build at most once per graph,
+        and edge-array-only backends never pay it.
         """
         return self.graph.csr
 
@@ -594,22 +600,6 @@ class EmbedPlan:
             # repro: ignore[hot-path-alloc] lazy one-time buffer; every later call reuses it
             self._Z_flat = np.zeros(self.n_vertices * self.n_classes, dtype=np.float64)
         return self._Z_flat.reshape(self.n_vertices, self.n_classes)
-
-    def row_ranges(self, n_parts: int) -> List[Tuple[int, int]]:
-        """Degree-balanced owner-computes row ranges, cached per part count.
-
-        Used by the process-parallel backend: the partition depends only on
-        the degree profile, so a worker sweep over one plan computes each
-        partition once.
-        """
-        n_parts = int(n_parts)
-        cached = self._row_ranges.get(n_parts)
-        if cached is None:
-            from .gee_parallel import _balanced_row_ranges
-
-            cached = _balanced_row_ranges(self.csr.indptr, self.csr.in_indptr, n_parts)
-            self._row_ranges[n_parts] = cached
-        return cached
 
     # ------------------------------------------------------------------ #
     # Copy-on-write extension (append-only graph mutations)

@@ -467,23 +467,16 @@ class Graph:
         if self._adopted_csr:
             # The adopted CSR is the source of truth: drop the derived
             # edge-list snapshot (it may predate a CSR mutation) and keep
-            # the CSR itself — but reset its internal in-adjacency cache
-            # and its shared-memory copy in the parallel kernel's cache,
-            # both of which a mutation also staled.
+            # the CSR itself — but reset its internal in-adjacency cache,
+            # which a mutation also staled.  (Shared-memory copies belong
+            # to compiled plans, so clearing the plans below releases them.)
             self._edges = None
             assert self._csr is not None
             self._csr._in_indptr = None
             self._csr._in_indices = None
             self._csr._in_weights = None
             self._csr._in_edge_pos = None
-            from ..core.gee_parallel import evict_shared_graph
-
-            evict_shared_graph(self._csr)
         else:
-            if self._csr is not None:
-                from ..core.gee_parallel import evict_shared_graph
-
-                evict_shared_graph(self._csr)
             self._csr = None
         self._reverse_csr = None
         self._laplacian = None
@@ -492,6 +485,10 @@ class Graph:
         self._weighted_degrees = None
         self._is_weighted = None
         self._view_fingerprint = None
+        self._drop_compiled()
+
+    def _drop_compiled(self) -> None:
+        """Drop the cached plans and sharded views (each references this graph)."""
         self._plans.clear()
         self._sharded.clear()
 

@@ -85,7 +85,7 @@ class TestPermutationInvariance:
     """All supports_layout backends × layouts × structural edge cases."""
 
     @pytest.mark.parametrize("backend_name", LAYOUT_BACKENDS)
-    @pytest.mark.parametrize("layout", PERMUTING_LAYOUTS)
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("labelled", ["partial", "full"])
     def test_matches_unpermuted_reference(self, backend_name, layout, case, labelled):
@@ -96,15 +96,19 @@ class TestPermutationInvariance:
         caps = backend_capabilities(backend_name)
         # The blocked kernel is inherently serial (buckets cannot be split
         # into single-writer row ranges), so an explicit worker count is
-        # only legal for the sorted layout.
-        workers = 2 if caps.supports_n_workers and layout == "sorted" else None
+        # only legal for the sorted layout and for arrival-order plans,
+        # which the parallel backend runs on the graph's sorted plan.
+        workers = 2 if caps.supports_n_workers and layout != "blocked" else None
         backend = get_backend(backend_name, n_workers=workers)
         result = backend.embed_with_plan(plan, y)
         np.testing.assert_allclose(result.embedding, reference, atol=ATOL)
-        if caps.supports_sharding:
-            # Sharded execution re-slices its own owner-sorted incidence
-            # regardless of the plan's layout, and says so.
+        if caps.supports_sharding or (backend_name == "parallel" and layout == "none"):
+            # Sharded execution, and parallel execution of an arrival-order
+            # plan, run the graph's owner-sorted incidence regardless of the
+            # plan's layout, and say so.
             assert result.layout == "sorted"
+        elif backend_name == "auto" and layout == "none":
+            assert result.layout in LAYOUTS  # a "none" plan leaves auto free
         else:
             assert result.layout in (layout, "none")  # auto may re-choose
 

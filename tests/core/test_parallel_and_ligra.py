@@ -1,17 +1,16 @@
 """Behavioural tests specific to the parallel kernel and the Ligra wrapper."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.backends import get_backend
 from repro.core import gee_ligra, gee_parallel, gee_python
-from repro.core.gee_parallel import (
-    _balanced_row_ranges,
-    owner_rows_accumulate,
-    shutdown_workers,
-)
+from repro.core.gee_parallel import run_fused_ranges, shutdown_workers
 from repro.core.gee_vectorized import scatter_add
-from repro.core.projection import projection_scales
-from repro.graph import EdgeList, erdos_renyi, rmat
+from repro.graph import EdgeList, Graph, erdos_renyi, rmat
 from repro.labels import random_partial_labels
 
 
@@ -42,76 +41,37 @@ class TestScatterAdd:
         assert np.all(out == 0)
 
 
-class TestOwnerRowsKernel:
+class TestOwnerRangeExecutor:
     def test_blocks_tile_the_full_embedding(self):
         edges = rmat(7, edge_factor=6, seed=3)
-        csr = edges.to_csr()
-        y = random_partial_labels(csr.n_vertices, 6, 0.4, seed=1)
-        scales = projection_scales(y, 6)
-        full = owner_rows_accumulate(
-            0,
-            csr.n_vertices,
-            csr.indptr,
-            csr.indices,
-            csr.weights,
-            csr.in_indptr,
-            csr.in_indices,
-            csr.in_weights,
-            y,
-            scales,
-            6,
-        )
+        y = random_partial_labels(edges.n_vertices, 6, 0.4, seed=1)
+        plan = Graph.coerce(edges).plan(6, layout="sorted")
         ref = gee_python(edges, y, 6).embedding
-        np.testing.assert_allclose(full, ref, atol=1e-9)
-        # Arbitrary 3-way split must tile to the same matrix.
-        n = csr.n_vertices
+        # An arbitrary 3-way split must tile to the full matrix.
+        n = plan.n_vertices
         cuts = [0, n // 3, 2 * n // 3, n]
-        tiled = np.vstack(
-            [
-                owner_rows_accumulate(
-                    cuts[i],
-                    cuts[i + 1],
-                    csr.indptr,
-                    csr.indices,
-                    csr.weights,
-                    csr.in_indptr,
-                    csr.in_indices,
-                    csr.in_weights,
-                    y,
-                    scales,
-                    6,
-                )
-                for i in range(3)
-            ]
+        out = np.full(n * 6, np.nan)
+        workers, _ = run_fused_ranges(
+            plan,
+            plan.validate_labels(y),
+            list(zip(cuts[:-1], cuts[1:])),
+            out,
+            n_workers=1,
+            backend="test",
         )
-        np.testing.assert_allclose(tiled, ref, atol=1e-9)
+        assert workers == 1
+        np.testing.assert_allclose(out.reshape(n, 6), ref, atol=1e-9)
 
-    def test_empty_row_range(self):
-        edges = erdos_renyi(20, 50, seed=0)
-        csr = edges.to_csr()
-        y = random_partial_labels(20, 3, 0.5, seed=0)
-        scales = projection_scales(y, 3)
-        block = owner_rows_accumulate(
-            5, 5, csr.indptr, csr.indices, csr.weights, csr.in_indptr, csr.in_indices,
-            csr.in_weights, y, scales, 3,
-        )
-        assert block.shape == (0, 3)
-
-    def test_balanced_row_ranges_cover_all_vertices(self):
-        csr = rmat(9, edge_factor=10, seed=5).to_csr()
-        ranges = _balanced_row_ranges(csr.indptr, csr.in_indptr, 7)
-        assert ranges[0][0] == 0 and ranges[-1][1] == csr.n_vertices
-        total_work = csr.n_edges * 2
-        works = [
-            int(
-                csr.indptr[hi]
-                - csr.indptr[lo]
-                + csr.in_indptr[hi]
-                - csr.in_indptr[lo]
-            )
-            for lo, hi in ranges
-        ]
-        assert sum(works) == total_work
+    def test_fused_row_ranges_cover_all_vertices(self):
+        edges = rmat(9, edge_factor=10, seed=5)
+        plan = Graph.coerce(edges).plan(4, layout="sorted")
+        ranges = plan.fused_row_ranges(7)
+        assert len(ranges) == 7
+        assert ranges[0][0] == 0 and ranges[-1][1] == plan.n_vertices
+        assert all(lo == prev_hi for (_, prev_hi), (lo, _) in zip(ranges, ranges[1:]))
+        degrees = plan.total_degrees
+        works = [int(degrees[lo:hi].sum()) for lo, hi in ranges]
+        assert sum(works) == 2 * edges.n_edges
 
 
 class TestGeeParallelBehaviour:
@@ -184,9 +144,67 @@ class TestGeeParallelBehaviour:
         first = gee_parallel(csr, y, 4, n_workers=2)
         second = gee_parallel(csr, y, 4, n_workers=2)
         np.testing.assert_allclose(first.embedding, second.embedding)
-        # The cached path must not be slower by more than the noise floor
+        # A raw CSR is a one-shot input (only a Graph keeps its plan warm);
+        # the second call must not be slower by more than the noise floor
         # of a tiny run; mostly this asserts the second call still works.
         assert second.timings["preprocess"] <= first.timings["preprocess"] + 0.05
+
+    def test_calls_on_one_graph_keep_distinct_results(self):
+        # Both calls run on the Graph's one cached sorted plan; each result
+        # must own its embedding rather than view that plan's buffer.
+        edges = erdos_renyi(80, 400, seed=4)
+        g = Graph.coerce(edges)
+        y1 = random_partial_labels(80, 4, 0.5, seed=4)
+        y2 = random_partial_labels(80, 4, 0.5, seed=5)
+        first = gee_parallel(g, y1, 4, n_workers=2)
+        second = gee_parallel(g, y2, 4, n_workers=2)
+        for result, y in ((first, y1), (second, y2)):
+            reference = gee_python(edges, y, 4).embedding
+            np.testing.assert_allclose(result.embedding, reference, atol=1e-10)
+        assert not np.shares_memory(first.embedding, second.embedding)
+
+    def test_unsorted_plan_result_survives_sorted_plan_calls(self):
+        # A layout="none" plan runs on the graph's sorted plan but must write
+        # into its own buffer: a later call on the sorted plan leaves it be.
+        edges = erdos_renyi(80, 400, seed=6)
+        g = Graph.coerce(edges)
+        y1 = random_partial_labels(80, 4, 0.5, seed=6)
+        y2 = random_partial_labels(80, 4, 0.5, seed=7)
+        result = get_backend("parallel", n_workers=2).embed_with_plan(g.plan(4), y1)
+        kept = result.embedding.copy()
+        get_backend("vectorized").embed_with_plan(g.plan(4, layout="sorted"), y2)
+        np.testing.assert_array_equal(result.embedding, kept)
+        reference = gee_python(edges, y1, 4).embedding
+        np.testing.assert_allclose(kept, reference, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda e, y: gee_parallel(e, y, 4, n_workers=2),
+            lambda e, y: get_backend("parallel", n_workers=2).embed(e, y, 4),
+        ],
+        ids=["gee_parallel", "backend.embed"],
+    )
+    def test_one_shot_call_releases_its_graph(self, monkeypatch, call):
+        # A one-shot input is compiled for this call alone; nothing may tie
+        # the internal Graph into a reference cycle that outlives the call.
+        edges = erdos_renyi(80, 400, seed=8)
+        y = random_partial_labels(80, 4, 0.5, seed=8)
+        made = []
+        real_init = Graph.__init__
+
+        def recording_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            made.append(weakref.ref(self))
+
+        monkeypatch.setattr(Graph, "__init__", recording_init)
+        gc.disable()
+        try:
+            call(edges, y)
+            assert made
+            assert all(ref() is None for ref in made)
+        finally:
+            gc.enable()
 
     def test_shutdown_and_recreate(self):
         edges = erdos_renyi(40, 150, seed=5)

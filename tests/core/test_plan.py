@@ -131,21 +131,27 @@ class TestPlanCaching:
         csr = Graph.coerce(edges.copy()).csr
         g = Graph.coerce(csr)
         p = g.plan(4)
+        # The pooled backend also stages shared memory, which must not
+        # outlive the mutation either: warm every cache on the old contents.
+        backends = [get_backend("vectorized"), get_backend("parallel", n_workers=2)]
+        for backend in backends:
+            backend.embed_with_plan(p, y)
         csr.weights[0] = 5.0  # first edge is always fingerprint-sampled
         p2 = g.plan(4)
         assert p2 is not p
         assert float(p2.weights[0]) == 5.0
         # The rebuilt plan matches a from-scratch embed of the mutated CSR.
-        result = get_backend("vectorized").embed_with_plan(p2, y)
         reference = gee_python(g.edges, y, 4).embedding
-        np.testing.assert_allclose(result.embedding, reference, atol=1e-9)
+        for backend in backends:
+            result = backend.embed_with_plan(p2, y)
+            np.testing.assert_allclose(result.embedding, reference, atol=1e-9)
 
     def test_row_ranges_cached_per_worker_count(self, seeded):
         edges, _ = seeded
-        p = Graph.coerce(edges).plan(4)
-        r2 = p.row_ranges(2)
-        assert p.row_ranges(2) is r2
-        assert len(p.row_ranges(3)) == 3
+        p = Graph.coerce(edges).plan(4, layout="sorted")
+        r2 = p.fused_row_ranges(2)
+        assert p.fused_row_ranges(2) is r2
+        assert len(p.fused_row_ranges(3)) == 3
         assert r2[0][0] == 0 and r2[-1][1] == p.n_vertices
 
 
