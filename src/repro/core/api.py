@@ -249,7 +249,7 @@ class GraphEncoderEmbedding:
             y, k = validate_labels(labels, source.n_vertices, self.n_classes)
             from .plan import ChunkedPlan
 
-            result = self._backend.embed_with_plan(ChunkedPlan(source, k), y)
+            result = self._backend.embed_with_plan(ChunkedPlan(source, k), y).detached()
         else:
             g = Graph.coerce(graph)
             if g.n_vertices == 0:
@@ -268,10 +268,17 @@ class GraphEncoderEmbedding:
                 memory_budget_bytes=memory_budget_bytes,
                 layout=layout,
             )
-            result = self._backend.embed_with_plan(plan, y)
-        # Detach: plan-based embeddings view the plan's reused output
-        # buffer, which the next fit on the same (graph, K) overwrites.
-        self.result_ = result.detached()
+            # Detach: plan-based embeddings view the plan's reused output
+            # buffer, which the next fit on the same (graph, K) overwrites.
+            result = self._backend.embed_with_plan(plan, y).detached()
+            if g is not graph:
+                # A facade coerced for this fit alone: its cached plans
+                # point back at it (and the Laplacian view's at that view),
+                # a cycle that would hold plan-sized arrays until the
+                # cyclic collector runs.
+                g._drop_compiled()
+                work._drop_compiled()
+        self.result_ = result
         self.labels_ = y
         self.n_classes = k
         self._scales_ = projection_scales(y, k)

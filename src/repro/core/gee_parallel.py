@@ -19,10 +19,14 @@ once per endpoint as owner, sorted by owner row:
 
 * the embedding rows (vertices) are split into ``p`` ranges balanced by
   total (in + out) degree;
-* worker ``j`` finds its row range's slice of the sorted incidence with
-  two binary searches and computes *all* contributions that land in it
-  (``Z[owner, Y[partner]] += w``) with block-local segment sums, then
-  rescales its rows by ``diag(1/n_c)``;
+* worker ``j`` computes *all* contributions that land in its rows
+  (``Z[owner, Y[partner]] += w``), rescaled by ``diag(1/n_c)``, in one of
+  two directions chosen once per call: it *pulls* over its rows' own
+  slice of the sorted incidence (located through the layout's
+  ``row_ptr``) with block-local segment sums, or — while the labelled
+  vertices own few incidences, as under the paper's 10% labelling — it
+  *pushes* from the labelled owners' segments, keeping the partners that
+  fall in its rows (Ligra's sparse/dense ``edgeMap`` switch);
 * each worker writes its block of the shared-memory ``Z`` directly.
 
 No two workers ever write the same row, so there are no atomics, no locks
@@ -61,9 +65,10 @@ from ..parallel.pool import (
     resolve_worker_count,
 )
 from ..analysis.annotations import hot_path
+from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..parallel.shm import SharedArrayHandle, SharedArraySet, attach_many
-from .gee_vectorized import accumulate_fused_rows_sorted, scatter_add
+from .gee_vectorized import _fused_direction, accumulate_fused_rows_sorted, scatter_add
 from .plan import EmbedPlan
 from .projection import projection_from_scales, projection_scales
 from .result import EmbeddingResult
@@ -234,6 +239,7 @@ class _SharedFused:
             self.shm = SharedArraySet()
             self.shm.share("f_owner_flat", fused.owner_flat)
             self.shm.share("f_partner", fused.partner)
+            self.shm.share("f_row_ptr", fused.row_ptr)
             if fused.weights is not None:
                 self.shm.share("f_weights", fused.weights)
             self.handles = self.shm.handles()
@@ -274,23 +280,26 @@ def _fused_pool_task(
     n_classes: int,
     rows_per_block: int,
     fully_labelled: bool,
+    push: bool,
+    rescale: bool,
 ) -> None:
     """Worker task for the fused (sorted-layout) path: fill owned rows.
 
-    Locates its row range in the shared sorted incidence arrays with two
-    binary searches, runs the block-local segment sums into its slice of
-    the shared ``Z``, and applies the per-column ``1/n_c`` rescale (written
-    once by the parent into the shared ``inv`` vector) to its own rows — no
-    two tasks ever write the same row, and the O(nK) rescale multiply runs
-    inside the row partition instead of serially in the parent.
+    Runs the owner-range kernel in the direction the parent chose for the
+    call — pull over its rows' own incidences (located through the shared
+    ``row_ptr``) or push from the labelled owners' segments — into its
+    slice of the shared ``Z``, scaled by the per-column ``1/n_c`` vector
+    the parent wrote once into the shared ``inv`` (raw sums when
+    ``rescale`` is off).  No two tasks ever write the same row, and the
+    O(nK) rescale runs inside the row partition instead of serially in the
+    parent.
     """
     views = _attach_cached(handles)
     labels = views["labels"]
     owner_flat = views["f_owner_flat"]
     y_idx = labels.astype(owner_flat.dtype, copy=False)
-    Z = views["Z"]
     accumulate_fused_rows_sorted(
-        Z.reshape(-1),
+        views["Z"].reshape(-1),
         owner_flat,
         views["f_partner"],
         views.get("f_weights"),
@@ -299,9 +308,11 @@ def _fused_pool_task(
         rows_per_block,
         row_lo,
         row_hi,
+        row_ptr=views["f_row_ptr"],
         fully_labelled=fully_labelled,
+        push=push,
+        inv=views["inv"] if rescale else None,
     )
-    Z[row_lo:row_hi] *= views["inv"][None, :]
 
 
 class _Workspace:
@@ -620,14 +631,19 @@ def run_fused_ranges(
 ) -> Tuple[int, float]:
     """Fill ``out_flat`` with the rows of every owner range of a sorted plan.
 
-    The one owner-range executor behind ``backend="parallel"`` on sorted
-    plans and :class:`~repro.shard.ShardedGraph`.  ``ranges`` must tile
-    ``[0, n)``; range ``i`` (labelled ``shard i``) is computed start to
-    finish by one task that writes only its own rows of the plan's sorted
-    incidence, so the output needs no zeroing and no reduction, and the
-    result is bitwise the same for every dispatch mode and worker count.
-    Each task rescales its rows by ``diag(1/n_c)``; ``rescale=False``
-    leaves the raw class sums.
+    The one owner-range executor behind the vectorized sorted plan path
+    (one range ``[0, n)``), ``backend="parallel"`` on sorted plans and
+    :class:`~repro.shard.ShardedGraph`.  ``ranges`` must tile ``[0, n)``;
+    range ``i`` (labelled ``shard i``) is computed start to finish by one
+    task that writes only its own rows, so the output needs no zeroing and
+    no reduction.  The call picks one direction from ``y`` and the layout
+    (push from the labelled owners while they own few incidences, else
+    pull; see :func:`~repro.core.gee_vectorized.accumulate_fused_rows_sorted`),
+    so the result is bitwise the same for every dispatch mode, range split
+    and worker count.  Each task rescales its rows by ``diag(1/n_c)``;
+    ``rescale=False`` leaves the raw class sums.  The incidences each
+    direction visited are counted as ``kernel.push_incidences`` /
+    ``kernel.pull_incidences``.
 
     Dispatch: ``kernel="numpy"`` with ``n_workers > 1`` (and ``fork``, and
     at least one edge) runs one :func:`_fused_pool_task` per range on the
@@ -641,24 +657,42 @@ def run_fused_ranges(
     """
     fused = plan.fused
     k = plan.n_classes
+    row_ptr = fused.row_ptr
     fully = bool(y.size) and int(y.min()) != UNKNOWN_LABEL
     inv = inverse_class_counts(class_counts(y, k)) if rescale else None
     tasks = [(i, lo, hi) for i, (lo, hi) in enumerate(ranges) if hi > lo]
     labels = [f"backend={backend} shard {i} rows [{lo}, {hi})" for i, lo, hi in tasks]
+    # One direction for the whole call (the native tier always pulls); a
+    # push task reads every labelled owner's segment, a pull task its rows'.
+    if kernel == "numpy":
+        push, m = _fused_direction(row_ptr, y, fused.weights is not None)
+    else:
+        push, m = False, 0
+    if push:
+        obs_metrics.count("kernel.push_incidences", m * len(tasks))
+    else:
+        obs_metrics.count(
+            "kernel.pull_incidences",
+            sum(int(row_ptr[hi] - row_ptr[lo]) for _, lo, hi in tasks),
+        )
     if kernel == "numpy" and n_workers > 1 and fork_available() and plan.n_edges:
         t_share = time.perf_counter()
         shared_fused = _shared_fused_for(fused)
         pool = _get_pool(n_workers)
         workspace = _workspace_for(plan.n_vertices, k)
         workspace.labels[:] = y
-        workspace.inv[:] = 1.0 if inv is None else inv
+        if inv is not None:
+            workspace.inv[:] = inv
         handles = dict(shared_fused.handles)
         handles.update(workspace.handles)
         staging = time.perf_counter() - t_share
         with trace("parallel.dispatch", backend=backend, n_tasks=len(tasks)):
             pool.map(
                 _fused_pool_task,
-                [(handles, lo, hi, k, fused.rows_per_block, fully) for _, lo, hi in tasks],
+                [
+                    (handles, lo, hi, k, fused.rows_per_block, fully, push, rescale)
+                    for _, lo, hi in tasks
+                ],
                 labels=labels,
             )
         np.copyto(out_flat, workspace.Z.reshape(-1))
@@ -667,11 +701,8 @@ def run_fused_ranges(
     y_idx = y.astype(fused.index_dtype, copy=False)
 
     def accumulate(row_lo: int, row_hi: int) -> None:
-        # numpy block-assigns the rows; the native tier zeroes them and
-        # accumulates on range-local flat indices.  Either way a task
-        # touches only its own slice of ``out_flat`` (thread-safe for the
-        # shadow's dense ``bincount`` as well as for the JIT loop).
-        window = out_flat[row_lo * k : row_hi * k]
+        # Either tier touches only its own slice of ``out_flat`` (thread-safe
+        # for the shadow's dense ``bincount`` as well as for the JIT loop).
         if kernel == "numpy":
             accumulate_fused_rows_sorted(
                 out_flat,
@@ -683,23 +714,28 @@ def run_fused_ranges(
                 fused.rows_per_block,
                 row_lo,
                 row_hi,
+                row_ptr=row_ptr,
                 fully_labelled=fully,
+                push=push,
+                inv=inv,
             )
-        else:
-            from ..native.dispatch import get_kernel
+            return
+        from ..native.dispatch import get_kernel
 
-            lo = int(np.searchsorted(fused.owner_flat, row_lo * k))
-            hi = int(np.searchsorted(fused.owner_flat, row_hi * k))
-            weights = fused.weights
-            window.fill(0.0)
-            get_kernel("segment_accumulate", force_shadow=kernel == "shadow")(
-                window,
-                fused.owner_flat[lo:hi] - row_lo * k,
-                fused.partner[lo:hi],
-                _EMPTY_WEIGHTS if weights is None else weights[lo:hi],
-                weights is not None,
-                y,
-            )
+        # The native tier zeroes its rows and accumulates on range-local
+        # flat indices, then rescales them.
+        window = out_flat[row_lo * k : row_hi * k]
+        lo, hi = int(row_ptr[row_lo]), int(row_ptr[row_hi])
+        weights = fused.weights
+        window.fill(0.0)
+        get_kernel("segment_accumulate", force_shadow=kernel == "shadow")(
+            window,
+            fused.owner_flat[lo:hi] - row_lo * k,
+            fused.partner[lo:hi],
+            _EMPTY_WEIGHTS if weights is None else weights[lo:hi],
+            weights is not None,
+            y,
+        )
         if inv is not None:
             rows = window.reshape(row_hi - row_lo, k)
             rows *= inv[None, :]

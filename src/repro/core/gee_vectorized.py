@@ -20,7 +20,7 @@ Table I's "Numba Serial" column.
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -150,6 +150,7 @@ def _block_scatter(
     flat_bounds: np.ndarray,
     cuts: np.ndarray,
     accumulate: bool,
+    inv: Optional[np.ndarray] = None,
 ) -> None:
     """Scatter ``flat``/``weights`` into ``out_flat`` one row block at a time.
 
@@ -160,7 +161,10 @@ def _block_scatter(
     inside the cache-resident slice.  ``accumulate=False`` assigns the block
     sums into ``out_flat`` directly (zeroing empty blocks), which also skips
     the full-output zero-fill and read-modify-write passes a global
-    ``out += bincount(...)`` would cost.
+    ``out += bincount(...)`` would cost.  ``inv`` (assigning mode, blocks
+    of whole ``K``-wide rows) scales each block's columns by ``inv`` while
+    the block is still cache-resident, instead of in a separate pass over
+    the output.
     """
     for i in range(len(cuts) - 1):
         lo, hi = int(cuts[i]), int(cuts[i + 1])
@@ -176,11 +180,17 @@ def _block_scatter(
         )
         if accumulate:
             out_flat[base:top] += block
-        else:
+        elif inv is None:
             out_flat[base:top] = block
+        else:
+            np.multiply(
+                block.reshape(-1, inv.size),
+                inv,
+                out=out_flat[base:top].reshape(-1, inv.size),
+            )
 
 
-@hot_path(reason="locality-optimized fused edge pass")
+@hot_path(reason="edge pass of the blocked fused layout")
 def accumulate_fused(
     out_flat: np.ndarray,
     fused,
@@ -189,9 +199,9 @@ def accumulate_fused(
     fully_labelled: bool,
     accumulate: bool = False,
 ) -> None:
-    """Raw per-class sums of a :class:`~repro.core.plan.FusedLayout`, in place.
+    """Raw per-class sums of a ``layout="blocked"`` :class:`~repro.core.plan.FusedLayout`.
 
-    One pass over the ``2E`` permuted incidences: gather ``Y[partner]``, add
+    One pass over the ``2E`` bucketed incidences: gather ``Y[partner]``, add
     it to the precompiled ``owner*K`` flat components and run the block-local
     segment sums (:func:`_block_scatter`).  The per-edge projection scale is
     *not* applied here — the caller rescales columns once afterwards
@@ -200,9 +210,8 @@ def accumulate_fused(
 
     ``y_idx`` must already be cast to ``fused.index_dtype`` so the flat-index
     arithmetic stays in the narrowed dtype.  Unknown labels are dropped by
-    compaction (sorted layout — the compacted flats stay monotone) or by
-    zero-weighting (blocked layout — compaction would break the bucket
-    boundaries).
+    zero-weighting: compacting them would break the bucket boundaries.
+    Sorted layouts run :func:`accumulate_fused_rows_sorted` instead.
     """
     if fused.n_incidences == 0:
         if not accumulate:
@@ -213,21 +222,44 @@ def accumulate_fused(
     if fully_labelled:
         flat = fused.owner_flat + yp
         wts = w2
-        cuts = fused.edge_cuts
-    elif fused.layout == "sorted":
-        known = yp != UNKNOWN_LABEL
-        flat = fused.owner_flat[known] + yp[known]
-        wts = None if w2 is None else w2[known]
-        cuts = np.searchsorted(flat, fused.flat_cuts)
     else:
         known = yp != UNKNOWN_LABEL
         wts = known.astype(np.float64) if w2 is None else w2 * known
         flat = fused.owner_flat + np.maximum(yp, 0)
-        cuts = fused.edge_cuts
-    _block_scatter(out_flat, flat, wts, fused.flat_cuts, cuts, accumulate)
+    _block_scatter(out_flat, flat, wts, fused.flat_cuts, fused.edge_cuts, accumulate)
 
 
-@hot_path(reason="owner-computes fused kernel run by every parallel worker")
+#: The sorted owner-range kernel pushes from the labelled owners while
+#: their incidences ``m = Σ_{y_v known} deg(v)`` are below this share of
+#: all ``2E`` incidences, and pulls over the range's own incidences
+#: otherwise.  Set from the labelled-fraction sweep of
+#: ``benchmarks/bench_ablation_scatter.py`` (``BENCH_ablation_scatter.json``,
+#: ``direction/...`` rows; friendster-sim ×4, n=262,144, 2E=8.9M, K=50, on a
+#: 2-vCPU host).  Unweighted, push against pull: 37 vs 111 ms at the
+#: paper's 10% labelling, 143 vs 159 ms at a 0.51 share, 166 vs 159 ms at
+#: 0.61, 244 vs 103 ms fully labelled.
+_PUSH_SHARE = 0.55
+#: The same switch for weighted layouts, whose push pays an int64 sort key
+#: and a weight gather per pushed incidence: 59 vs 143 ms at 10%, 199 vs
+#: 216 ms at a 0.36 share, 297 vs 231 ms at 0.51 (an earlier sweep put the
+#: crossover near 0.33, so the switch stays below it).
+_PUSH_SHARE_WEIGHTED = 0.3
+
+
+def _fused_direction(row_ptr: np.ndarray, y: np.ndarray, weighted: bool) -> Tuple[bool, int]:
+    """``(push, m)`` of one sorted edge pass over labels ``y``.
+
+    ``m`` counts the incidences owned by labelled vertices: what a push
+    reads.  The choice depends only on ``y`` and the layout, so every row
+    range of a call (whatever the worker or shard count) runs the same
+    direction and the results stay bitwise identical across partitions.
+    """
+    m = int(np.diff(row_ptr)[y != UNKNOWN_LABEL].sum())
+    share = _PUSH_SHARE_WEIGHTED if weighted else _PUSH_SHARE
+    return m < share * int(row_ptr[-1]), m
+
+
+@hot_path(reason="owner-computes fused kernel run by every owner-range task")
 def accumulate_fused_rows_sorted(
     out_flat: np.ndarray,
     owner_flat: np.ndarray,
@@ -239,37 +271,136 @@ def accumulate_fused_rows_sorted(
     row_lo: int,
     row_hi: int,
     *,
+    row_ptr: np.ndarray,
     fully_labelled: bool,
+    push: bool = False,
+    inv: Optional[np.ndarray] = None,
 ) -> None:
-    """Raw sums for rows ``row_lo:row_hi`` of a *sorted* fused layout.
+    """Rows ``row_lo:row_hi`` of a *sorted* fused layout, pushed or pulled.
 
-    The owner-computes variant behind the fused parallel path: the sorted
-    incidence arrays locate any row range with two binary searches, so each
-    worker processes exactly the incidences owned by its rows and writes
-    only its slice of ``out_flat`` — no atomics, no reduction.  Works on raw
-    arrays (shared-memory views included) rather than a
-    :class:`FusedLayout` object.
+    The owner-computes kernel behind every sorted owner-range task: it
+    writes exactly the window ``out_flat[row_lo*K : row_hi*K]`` — no
+    atomics, no reduction — with each column scaled by ``inv`` when given
+    (raw class sums otherwise).  Works on raw arrays (shared-memory views
+    included) rather than a :class:`FusedLayout` object; ``y_idx`` must be
+    cast to the layout's index dtype.  Two directions compute the same sums
+    (up to floating-point summation order):
+
+    * pull — read the range's own incidences
+      ``row_ptr[row_lo]:row_ptr[row_hi]``, gather ``Y[partner]``, drop
+      unknown labels and run the block-local segment sums
+      (:func:`_block_scatter`);
+    * push (``push=True``) — read only the labelled owners' segments, keep
+      the incidences whose partner lies in the range and write the sums of
+      their ``partner*K + Y[owner]`` targets (:func:`_push_rows`).
+
+    The caller picks the direction (:func:`_fused_direction`) once per call.
     """
-    k = int(n_classes)
     if row_hi <= row_lo:
         return
-    lo = int(np.searchsorted(owner_flat, row_lo * k))
-    hi = int(np.searchsorted(owner_flat, row_hi * k))
+    if push:
+        _push_rows(
+            out_flat, partner, weights, y_idx, int(n_classes), row_lo, row_hi, row_ptr, inv
+        )
+        return
+    k = int(n_classes)
+    lo, hi = int(row_ptr[row_lo]), int(row_ptr[row_hi])
     row_bounds = np.arange(row_lo, row_hi, int(rows_per_block), dtype=np.int64)
     row_bounds = np.append(row_bounds, row_hi)
     flat_bounds = row_bounds * k
-    of = owner_flat[lo:hi]
-    yp = y_idx[partner[lo:hi]]
+    # The gathered labels become the flat targets in place.
+    flat = y_idx[partner[lo:hi]]
     w2 = None if weights is None else weights[lo:hi]
     if fully_labelled:
-        flat = of + yp
+        flat += owner_flat[lo:hi]
         wts = w2
+        cuts = row_ptr[row_bounds] - lo
     else:
-        known = yp != UNKNOWN_LABEL
-        flat = of[known] + yp[known]
+        # One compaction of the added flats, not one per operand.
+        known = flat != UNKNOWN_LABEL
+        flat += owner_flat[lo:hi]
+        flat = flat[known]
         wts = None if w2 is None else w2[known]
-    cuts = np.searchsorted(flat, flat_bounds)
-    _block_scatter(out_flat, flat, wts, flat_bounds, cuts, accumulate=False)
+        # Needles in the haystack's dtype: int64 needles would make
+        # searchsorted cast the whole flat array on every call.
+        cuts = np.searchsorted(flat, flat_bounds.astype(flat.dtype))
+    _block_scatter(out_flat, flat, wts, flat_bounds, cuts, accumulate=False, inv=inv)
+
+
+@hot_path(reason="push direction of the sorted owner-range kernel")
+def _push_rows(
+    out_flat: np.ndarray,
+    partner: np.ndarray,
+    weights: Optional[np.ndarray],
+    y_idx: np.ndarray,
+    k: int,
+    row_lo: int,
+    row_hi: int,
+    row_ptr: np.ndarray,
+    inv: Optional[np.ndarray],
+) -> None:
+    """Push the labelled owners' incidences into rows ``row_lo:row_hi``.
+
+    Every edge is stored once per endpoint as owner, so the contributions
+    ``Z[u, Y[v]] += w`` a pull collects from row ``u``'s incidences are the
+    incidences of the labelled owners ``v`` whose partner is ``u``.  Their
+    segments are gathered through ``row_ptr``, the targets
+    ``(u - row_lo)*K + Y[v]`` sorted with ties broken by incidence position
+    (so a slot's summation order never depends on the range), and the
+    run-length sums written into the zeroed window.  The work is
+    O(m log m) in the labelled owners' incidences ``m``, plus the window.
+    """
+    window = out_flat[row_lo * k : row_hi * k]
+    window.fill(0.0)
+    owners = np.flatnonzero(y_idx != UNKNOWN_LABEL)
+    starts = row_ptr[owners]
+    lens = row_ptr[owners + 1] - starts
+    m = int(lens.sum())
+    if m == 0:
+        return
+    # The incidence positions of every labelled owner's segment, in order.
+    pos = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    pos += np.arange(m)
+    target = partner[pos]
+    cls = np.repeat(y_idx[owners], lens)
+    if row_lo > 0 or row_hi < row_ptr.size - 1:
+        inside = (target >= row_lo) & (target < row_hi)
+        target, cls = target[inside], cls[inside]
+        if weights is not None:
+            pos = pos[inside]
+        if target.size == 0:
+            return
+    wts = None if weights is None else weights[pos]
+    key = (target - row_lo) * k + cls
+    if wts is None:
+        key.sort()
+    elif key.dtype.itemsize == 4 and key.size < 2**32:
+        # One int64 sort of ``key << 32 | rank``: ties break by rank, i.e.
+        # by incidence position, and the SIMD sort beats a stable argsort.
+        tagged = key.astype(np.int64)
+        tagged <<= 32
+        tagged |= np.arange(key.size, dtype=np.int64)
+        tagged.sort()
+        key = tagged >> 32
+        tagged &= 0xFFFFFFFF
+        wts = wts[tagged]
+    else:
+        # Wide keys (int64-index plans): the same total order, slower.
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        wts = wts[order]
+    head = np.empty(key.size, dtype=bool)
+    head[0] = True
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    first = np.flatnonzero(head)
+    slots = key[first]
+    if wts is None:
+        sums = np.diff(first, append=key.size).astype(np.float64)
+    else:
+        sums = np.add.reduceat(wts, first)
+    if inv is not None:
+        sums *= inv[slots % k]
+    window[slots] = sums
 
 
 def class_rescale(Z: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -290,26 +421,36 @@ def gee_fused_with_plan(plan, labels: np.ndarray) -> EmbeddingResult:
     """Vectorised GEE through a plan's locality-optimized fused layout.
 
     The layout-plan counterpart of :func:`gee_vectorized_with_plan`
-    (dispatched when ``plan.layout != "none"``): the scatter runs the
-    block-local segment-sum kernel over the compiled incidence arrays and
-    writes straight into the plan's reused output buffer — per call the
-    only temporaries are the O(2E) gathered/compacted index and weight
-    arrays plus one L2-sized block at a time, never a fresh ``(n*K,)``
-    output.  Same buffer-reuse contract as every plan kernel
+    (dispatched when ``plan.layout != "none"``), writing straight into the
+    plan's reused output buffer — per call the only temporaries are the
+    gathered index and weight arrays plus one L2-sized block at a time,
+    never a fresh ``(n*K,)`` output.  A sorted plan runs the owner-range
+    executor in process on the single range ``[0, n)``
+    (:func:`~repro.core.gee_parallel.run_fused_ranges`), so the serial and
+    parallel sorted paths share one push-or-pull kernel; a blocked plan
+    runs :func:`accumulate_fused` and one column rescale.  Same
+    buffer-reuse contract as every plan kernel
     (``EmbeddingResult.detached`` copies a result out).
     """
     y = plan.validate_labels(labels)
     k = plan.n_classes
     fused = plan.fused
 
-    t0 = time.perf_counter()
-    fully = bool(y.size) and int(y.min()) != UNKNOWN_LABEL
-    y_idx = y.astype(fused.index_dtype, copy=False)
-    t1 = time.perf_counter()
-
     Z = plan.output_matrix()
-    accumulate_fused(Z.reshape(-1), fused, y_idx, fully_labelled=fully)
-    class_rescale(Z, y, k)
+    t0 = time.perf_counter()
+    if fused.layout == "sorted":
+        from .gee_parallel import run_fused_ranges
+
+        t1 = t0
+        run_fused_ranges(
+            plan, y, [(0, plan.n_vertices)], Z.reshape(-1), n_workers=1, backend="vectorized"
+        )
+    else:
+        fully = bool(y.size) and int(y.min()) != UNKNOWN_LABEL
+        y_idx = y.astype(fused.index_dtype, copy=False)
+        t1 = time.perf_counter()
+        accumulate_fused(Z.reshape(-1), fused, y_idx, fully_labelled=fully)
+        class_rescale(Z, y, k)
     t2 = time.perf_counter()
 
     return EmbeddingResult(
@@ -492,7 +633,7 @@ def _accumulate_chunked_incidence(
         first = int(np.searchsorted(flat_bounds, flat[0], side="right")) - 1
         last = int(np.searchsorted(flat_bounds, flat[-1], side="right"))
         bounds = flat_bounds[first : last + 1]
-        cuts = np.searchsorted(flat, bounds)
+        cuts = np.searchsorted(flat, bounds.astype(flat.dtype, copy=False))
         _block_scatter(Z_flat, flat, wts, bounds, cuts, accumulate=True)
 
 

@@ -116,6 +116,11 @@ class FusedLayout:
     scale gather entirely.  Index arrays narrow to int32 when
     ``n*K < 2^31`` (:func:`choose_index_dtype`), halving index bandwidth.
 
+    The sorted layout also keeps a per-row incidence pointer ``row_ptr``
+    (CSR-style, ``n+1`` int64 entries): owner ``v``'s incidences are
+    ``row_ptr[v]:row_ptr[v+1]``, so any row range's slice, and the segments
+    of the labelled owners the edge pass pushes from, are plain lookups.
+
     All artifacts are label-independent; per call only the ``Y`` gather,
     the (masked) flat-index add and the block-local ``np.bincount``s run.
     The permutation reorders commutative additions only, so results match
@@ -136,6 +141,7 @@ class FusedLayout:
         "row_cuts",
         "flat_cuts",
         "edge_cuts",
+        "row_ptr",
     )
 
     def __init__(
@@ -151,6 +157,7 @@ class FusedLayout:
         row_cuts: np.ndarray,
         flat_cuts: np.ndarray,
         edge_cuts: np.ndarray,
+        row_ptr: Optional[np.ndarray],
     ) -> None:
         self.layout = layout
         self.n_vertices = int(n_vertices)
@@ -171,6 +178,10 @@ class FusedLayout:
         self.flat_cuts = flat_cuts
         #: Incidence positions of each block's slice (``B+1`` entries).
         self.edge_cuts = edge_cuts
+        #: Sorted layout: first incidence of every owner row (``n+1`` int64
+        #: entries, last ``2E``); ``None`` for the blocked layout, whose
+        #: buckets keep arrival order inside a block.
+        self.row_ptr = row_ptr
 
     @property
     def nbytes(self) -> int:
@@ -178,7 +189,10 @@ class FusedLayout:
         total = self.owner_flat.nbytes + self.partner.nbytes
         if self.weights is not None:
             total += self.weights.nbytes
-        return total + self.row_cuts.nbytes + self.edge_cuts.nbytes
+        total += self.row_cuts.nbytes + self.edge_cuts.nbytes
+        if self.row_ptr is not None:
+            total += self.row_ptr.nbytes
+        return total
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -216,18 +230,18 @@ def compile_fused_layout(
     partner = np.concatenate((dst, src))
     row_cuts = np.arange(0, n, rows_per_block, dtype=np.int64)
     row_cuts = np.append(row_cuts, n)
+    # Both layouts keep every block's rows contiguous, so a block's slice
+    # starts where the degree prefix sum of its first row does.
+    row_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n), out=row_ptr[1:])
+    edge_cuts = row_ptr[row_cuts]
 
     if layout == "sorted":
         order = np.argsort(owner, kind="stable")
-        owner_sorted = owner[order]
-        edge_cuts = np.searchsorted(owner_sorted, row_cuts).astype(np.int64)
     else:
-        block_id = owner // rows_per_block
-        order = np.argsort(block_id, kind="stable")
-        owner_sorted = owner[order]
-        n_blocks = row_cuts.size - 1
-        per_block = np.bincount(block_id, minlength=n_blocks)
-        edge_cuts = np.concatenate(([0], np.cumsum(per_block))).astype(np.int64)
+        order = np.argsort(owner // rows_per_block, kind="stable")
+        row_ptr = None
+    owner_sorted = owner[order]
 
     owner_flat = (owner_sorted * k).astype(idx_dtype)
     partner_p = partner[order].astype(idx_dtype)
@@ -245,6 +259,7 @@ def compile_fused_layout(
         row_cuts,
         flat_cuts,
         edge_cuts,
+        row_ptr,
     )
 
 

@@ -1,5 +1,8 @@
 """Tests for the high-level API, the Laplacian variant and the refinement loop."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,7 @@ from repro.core import (
     weighted_total_degrees,
 )
 from repro.eval.metrics import adjusted_rand_index, best_match_accuracy
-from repro.graph import EdgeList, erdos_renyi, planted_partition
+from repro.graph import EdgeList, Graph, erdos_renyi, planted_partition
 from repro.labels import mask_labels, random_partial_labels
 
 
@@ -159,6 +162,50 @@ class TestGraphEncoderEmbeddingAPI:
         edges, _, y = small_sbm_partial
         model = GraphEncoderEmbedding(method="vectorized").fit(edges, y)
         assert "total" in model.timings_
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"method": "vectorized"},
+            {"method": "vectorized", "layout": "sorted"},
+            {"method": "vectorized", "laplacian": True},
+            {"method": "parallel", "n_workers": 1},
+        ],
+        ids=["vectorized", "sorted", "laplacian", "parallel"],
+    )
+    def test_fit_releases_the_graph_it_coerced(self, monkeypatch, kwargs):
+        # fit() on a non-Graph input compiles plans on a facade made for
+        # this fit alone; nothing may tie it into a reference cycle that
+        # outlives the call (checked with the cyclic collector off).
+        edges = erdos_renyi(80, 400, seed=8)
+        y = random_partial_labels(80, 4, 0.5, seed=8)
+        made = []
+        real_init = Graph.__init__
+
+        def recording_init(self, *args, **kw):
+            real_init(self, *args, **kw)
+            made.append(weakref.ref(self))
+
+        monkeypatch.setattr(Graph, "__init__", recording_init)
+        gc.disable()
+        try:
+            model = GraphEncoderEmbedding(4, **kwargs).fit(edges, y)
+            assert made
+            assert all(ref() is None for ref in made)
+        finally:
+            gc.enable()
+        reference = gee_python(edges, y, 4).embedding
+        if kwargs.get("laplacian"):
+            reference = gee_laplacian(edges, y, 4).embedding
+        np.testing.assert_allclose(model.embedding_, reference, atol=1e-10)
+
+    def test_fit_on_a_graph_keeps_its_plan_warm(self):
+        graph = Graph.coerce(erdos_renyi(60, 300, seed=9))
+        y = random_partial_labels(60, 3, 0.5, seed=9)
+        GraphEncoderEmbedding(3, method="vectorized").fit(graph, y)
+        plan = graph.plan(3)
+        GraphEncoderEmbedding(3, method="vectorized").fit(graph, y)
+        assert graph.plan(3) is plan
 
     def test_class_centroids_shape(self, small_sbm_partial):
         edges, _, y = small_sbm_partial

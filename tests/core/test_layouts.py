@@ -11,6 +11,7 @@ output temporary on the layout plan path — the satellite bugfix).
 
 from __future__ import annotations
 
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -290,3 +291,238 @@ class TestPlanBufferReuse:
         np.testing.assert_allclose(
             kept.embedding, gee_python(edges, y, K).embedding, atol=ATOL
         )
+
+
+# --------------------------------------------------------------------------- #
+# Push/pull directions of the sorted owner-range kernel
+# --------------------------------------------------------------------------- #
+DIRECTION_ATOL = 1e-10
+#: Labels use classes 0..DIRECTION_K-2 only: the last class has no members.
+DIRECTION_K = 5
+DIRECTION_LABELLINGS = ["none", "one", "1%", "10%", "below", "above", "full"]
+
+
+def _direction_graph(weighted, n=430, seed=0):
+    """Skewed degrees, self-loops, duplicate edges, 30 isolated vertices."""
+    rng = np.random.default_rng(seed)
+    core = n - 30
+    src = (core * rng.random(3000) ** 2).astype(np.int64)
+    dst = rng.integers(0, core, 3000)
+    src[:40] = dst[:40]
+    src = np.concatenate([src, src[:100]])
+    dst = np.concatenate([dst, dst[:100]])
+    w = rng.uniform(0.1, 4.0, src.size) if weighted else None
+    return EdgeList(src, dst, w, n)
+
+
+#: The kernel module (``repro.core.gee_vectorized`` is also a function name).
+KERNELS = importlib.import_module("repro.core.gee_vectorized")
+
+
+def _share(weighted):
+    return KERNELS._PUSH_SHARE_WEIGHTED if weighted else KERNELS._PUSH_SHARE
+
+
+def _direction_labels(edges, labelling, seed=0):
+    """Labels for one row of the matrix; the last class stays empty."""
+    rng = np.random.default_rng(seed)
+    n = edges.n_vertices
+    y = np.full(n, -1, dtype=np.int64)
+    classes = rng.integers(0, DIRECTION_K - 1, n)
+    deg = np.bincount(edges.src, minlength=n) + np.bincount(edges.dst, minlength=n)
+    if labelling == "full":
+        return classes
+    if labelling == "one":
+        v = int(np.argmax(deg))
+        y[v] = classes[v]
+    elif labelling in ("1%", "10%"):
+        chosen = rng.permutation(n)[: max(1, round(n * float(labelling[:-1]) / 100))]
+        y[chosen] = classes[chosen]
+    elif labelling in ("below", "above"):
+        # Label vertices in random order until their incidences cross the
+        # switch share: "below" stops just short of it, "above" just past.
+        order = rng.permutation(np.flatnonzero(deg))
+        cum = np.cumsum(deg[order])
+        limit = _share(edges.weights is not None) * 2 * edges.n_edges
+        last = int(np.searchsorted(cum, limit, side="left"))
+        chosen = order[: last + (1 if labelling == "above" else 0)]
+        y[chosen] = classes[chosen]
+    return y
+
+
+def _force(monkeypatch, direction):
+    """Pin the kernel's direction: share 2 always pushes, share 0 never."""
+    share = 2.0 if direction == "push" else 0.0
+    monkeypatch.setattr(KERNELS, "_PUSH_SHARE", share)
+    monkeypatch.setattr(KERNELS, "_PUSH_SHARE_WEIGHTED", share)
+
+
+def _raw_sums_reference(edges, y, k):
+    """``S[u, Y[v]] += w`` over both endpoints of every edge, by np.add.at."""
+    S = np.zeros((edges.n_vertices, k))
+    w = edges.effective_weights()
+    for a, b in ((edges.src, edges.dst), (edges.dst, edges.src)):
+        known = y[b] >= 0
+        np.add.at(S, (a[known], y[b][known]), w[known])
+    return S
+
+
+class TestPushPullDirections:
+    """Push ≡ pull ≡ the sparse oracle at every labelled fraction."""
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("labelling", DIRECTION_LABELLINGS)
+    def test_directions_match_sparse(self, monkeypatch, weighted, labelling):
+        edges = _direction_graph(weighted)
+        y = _direction_labels(edges, labelling)
+        reference = get_backend("sparse").embed(edges, y, DIRECTION_K).embedding
+        plan = Graph.coerce(edges).plan(DIRECTION_K, layout="sorted")
+        backend = get_backend("vectorized")
+
+        push, m = KERNELS._fused_direction(plan.fused.row_ptr, y, weighted)
+        expected_push = labelling not in ("above", "full")
+        assert push is expected_push, (labelling, m / plan.fused.n_incidences)
+        natural = backend.embed_with_plan(plan, y).detached().embedding
+        forced = {}
+        for direction in ("push", "pull"):
+            with monkeypatch.context() as mp:
+                _force(mp, direction)
+                forced[direction] = backend.embed_with_plan(plan, y).detached().embedding
+            np.testing.assert_allclose(
+                forced[direction], reference, atol=DIRECTION_ATOL, rtol=0
+            )
+        assert np.array_equal(natural, forced["push" if push else "pull"])
+        assert not np.any(natural[:, DIRECTION_K - 1])  # the empty class
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("direction", ["push", "pull"])
+    def test_int64_index_plan(self, monkeypatch, weighted, direction):
+        """``int32_limit=1`` forces int64 indices: the push's total-order
+        fallback must give the narrow plan's sums bit for bit."""
+        edges = _direction_graph(weighted, seed=1)
+        y = _direction_labels(edges, "10%", seed=1)
+        plan = Graph.coerce(edges).plan(DIRECTION_K, layout="sorted")
+        backend = get_backend("vectorized")
+        _force(monkeypatch, direction)
+        narrow = backend.embed_with_plan(plan, y).detached().embedding
+        plan._fused = compile_fused_layout(
+            plan.src,
+            plan.dst,
+            None if plan.unit_weights else plan.weights,
+            plan.n_vertices,
+            DIRECTION_K,
+            "sorted",
+            int32_limit=1,
+        )
+        assert plan.fused.index_dtype is np.int64
+        wide = backend.embed_with_plan(plan, y).embedding
+        assert np.array_equal(wide, narrow)
+        reference = gee_python(edges, y, DIRECTION_K).embedding
+        np.testing.assert_allclose(wide, reference, atol=DIRECTION_ATOL, rtol=0)
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("labelling", ["one", "10%", "full"])
+    def test_raw_sums_without_rescale(self, monkeypatch, weighted, labelling):
+        from repro.shard import ShardedGraph
+
+        edges = _direction_graph(weighted, seed=2)
+        y = _direction_labels(edges, labelling, seed=2)
+        reference = _raw_sums_reference(edges, y, DIRECTION_K)
+        graph = Graph.coerce(edges)
+        sums = {}
+        for direction in ("push", "pull"):
+            with monkeypatch.context() as mp:
+                _force(mp, direction)
+                for n_shards in (1, 3):
+                    sums[direction, n_shards] = ShardedGraph(graph, n_shards).raw_sums(
+                        y, DIRECTION_K
+                    )
+                    np.testing.assert_allclose(
+                        sums[direction, n_shards], reference, atol=DIRECTION_ATOL, rtol=0
+                    )
+            assert np.array_equal(sums[direction, 1], sums[direction, 3])
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    def test_bitwise_across_workers_and_shards(self, weighted):
+        """At 10% labelled every partition pushes and gets the same bits."""
+        edges = _direction_graph(weighted, n=3000, seed=3)
+        y = _direction_labels(edges, "10%", seed=3)
+        graph = Graph.coerce(edges)
+        plan = graph.plan(DIRECTION_K, layout="sorted")
+        assert KERNELS._fused_direction(plan.fused.row_ptr, y, weighted)[0]
+        serial = get_backend("vectorized").embed_with_plan(plan, y).detached().embedding
+        np.testing.assert_allclose(
+            serial, gee_python(edges, y, DIRECTION_K).embedding, atol=DIRECTION_ATOL
+        )
+        for n_workers in (1, 2, 4):
+            parallel = get_backend("parallel", n_workers=n_workers).embed_with_plan(plan, y)
+            assert np.array_equal(parallel.embedding, serial)
+            for n_shards in (1, 2, 7):
+                sharded = graph.shard(n_shards).embed(y, DIRECTION_K, n_workers=n_workers)
+                assert np.array_equal(sharded.embedding, serial), (n_workers, n_shards)
+
+    def test_counters_name_the_direction(self):
+        from repro import obs
+
+        edges = _direction_graph(False)
+        plan = Graph.coerce(edges).plan(DIRECTION_K, layout="sorted")
+        backend = get_backend("vectorized")
+        row_ptr = plan.fused.row_ptr
+        obs.enable()
+        try:
+            for labelling in ("10%", "full"):
+                y = _direction_labels(edges, labelling)
+                obs.metrics.reset()
+                backend.embed_with_plan(plan, y)
+                counters = obs.metrics.counters()
+                m = int(np.diff(row_ptr)[y >= 0].sum())
+                if labelling == "full":
+                    assert counters.get("kernel.pull_incidences") == row_ptr[-1]
+                    assert "kernel.push_incidences" not in counters
+                else:
+                    assert counters.get("kernel.push_incidences") == m
+                    assert "kernel.pull_incidences" not in counters
+        finally:
+            obs.disable()
+            obs.metrics.reset()
+            obs.clear()
+
+    @pytest.mark.parametrize("fully_labelled", [True, False], ids=["full", "partial"])
+    def test_range_call_widens_no_incidence_array(self, fully_labelled):
+        """A pull over ``[0, n)`` allocates no ``2E × 8``-byte temporary:
+        the row pointer locates the blocks, and no int32 incidence array is
+        widened to int64 (as ``searchsorted`` does with int64 needles)."""
+        rng = np.random.default_rng(4)
+        n, e, k = 20_000, 200_000, 50
+        edges = EdgeList(rng.integers(0, n, e), rng.integers(0, n, e), None, n)
+        fused = Graph.coerce(edges).plan(k, layout="sorted").fused
+        assert fused.index_dtype is np.int32
+        assert fused.row_cuts.size > 10  # many blocks: each bincount is small
+        y_idx = rng.integers(0 if fully_labelled else -1, k, n).astype(np.int32)
+        out = np.empty(n * k)
+
+        def call():
+            KERNELS.accumulate_fused_rows_sorted(
+                out,
+                fused.owner_flat,
+                fused.partner,
+                None,
+                y_idx,
+                k,
+                fused.rows_per_block,
+                0,
+                n,
+                row_ptr=fused.row_ptr,
+                fully_labelled=fully_labelled,
+            )
+
+        call()  # warm
+        tracemalloc.start()
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        incidences = 2 * e
+        # Fully labelled: one int32 gather plus block-sized temporaries.
+        # Partial adds its mask and the compacted flats.
+        bound = incidences * (8 if fully_labelled else 12)
+        assert peak < bound, peak
